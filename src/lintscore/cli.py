@@ -88,6 +88,18 @@ def _programs(spec: str):
         raise click.ClickException(f"program set {spec}: {exc}") from exc
 
 
+def _read_provider_config(path: str) -> dict:
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(
+            f"cannot read provider config {path}: {exc}"
+        ) from exc
+    if not isinstance(config, dict):
+        raise click.UsageError(f"provider config {path} is not a JSON object")
+    return config
+
+
 def _provider_config(
     kind: str,
     provider_config: str | None,
@@ -96,26 +108,28 @@ def _provider_config(
     mock_seed: int,
     cache_dir: str | None,
 ) -> dict:
+    if kind == "replay":
+        if not cache_dir:
+            raise click.UsageError("--provider replay requires --cache-dir")
+        config = {"kind": "replay-cache", "directory": cache_dir}
+        # responses are cached under the recording model's name
+        if provider_config:
+            model = _read_provider_config(provider_config).get("model")
+            if model is not None:
+                config["model"] = model
+        return config
     if kind == "http":
         if not provider_config:
             raise click.UsageError(
                 "--provider http requires --provider-config with endpoint/model"
             )
-        try:
-            config = json.loads(Path(provider_config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise click.UsageError(
-                f"cannot read provider config {provider_config}: {exc}"
-            ) from exc
+        config = _read_provider_config(provider_config)
         config["kind"] = "http"
-        if cache_dir:
-            config["cache"] = cache_dir
-        return config
-    if kind == "replay":
-        if not cache_dir:
-            raise click.UsageError("--provider replay requires --cache-dir")
-        return {"kind": "replay-cache", "directory": cache_dir}
-    return {"kind": "mock", "mock": mock, "q": q, "seed": mock_seed}
+    else:
+        config = {"kind": "mock", "mock": mock, "q": q, "seed": mock_seed}
+    if cache_dir:
+        config["cache"] = cache_dir
+    return config
 
 
 @click.group()
@@ -277,14 +291,16 @@ def obfuscate_cmd(source, level, verify, opponents):
               type=click.Choice(["http", "mock", "replay"]), default=None,
               help="Provider kind [default: mock, or the global --provider].")
 @click.option("--provider-config", type=click.Path(), default=None,
-              help="JSON with endpoint/model/temperature for --provider http.")
+              help="JSON with endpoint/model/temperature for --provider http; "
+                   "--provider replay reads its model.")
 @click.option("--mock", default="echo", show_default=True,
               type=click.Choice(["echo", "empty", "line-drop"]))
 @click.option("--q", type=float, default=0.0, show_default=True,
               help="Drop probability for the line-drop mock.")
 @click.option("--mock-seed", type=int, default=0, show_default=True)
 @click.option("--cache-dir", type=click.Path(), default=None,
-              help="Response cache directory (required for replay).")
+              help="Response cache directory: http and mock record into it, "
+                   "replay (which requires it) reads from it.")
 @click.option("--k", type=int, default=5, show_default=True)
 @click.option("--max-retries", type=int, default=3, show_default=True)
 @click.option("--literal-min", is_flag=True,

@@ -46,20 +46,36 @@ def decision_states(records: list[MatchRecord]) -> dict[tuple, dict]:
 
 
 def action_metric(
-    pi: Program, other: Program, oset: OpponentSet, per_unit: bool = False
+    pi: Program,
+    other: Program,
+    oset: OpponentSet,
+    per_unit: bool = False,
+    *,
+    recs_pi: list[MatchRecord] | None = None,
+    recs_other: list[MatchRecord] | None = None,
 ) -> float:
     """Fraction of π's decision states where both policies issue the same
     resolved joint assignment (``per_unit`` grades each unit separately).
 
+    ``other`` is only replayed on π's states that its own matches never
+    visited: where it did, its recorded assignment is the replay, because
+    evaluation is a pure function of the snapshot. ``recs_pi`` and
+    ``recs_other`` are the two policies' match records when the caller
+    already holds them.
+
     A policy visiting no decision states has nothing to disagree on: 1.0.
     """
-    states = decision_states(oset.matches(pi))
+    states = decision_states(oset.matches(pi) if recs_pi is None else recs_pi)
     if not states:
         return 1.0
+    recorded = decision_states(
+        oset.matches(other) if recs_other is None else recs_other
+    )
     total = 0.0
     for snapshot, assigned in states.items():
-        state = restore_state(snapshot)
-        replayed = resolve_joint(other, state, 0)
+        replayed = recorded.get(snapshot)
+        if replayed is None:
+            replayed = resolve_joint(other, restore_state(snapshot), 0)
         if per_unit:
             uids = set(assigned) | set(replayed)
             if not uids:
@@ -74,11 +90,22 @@ def action_metric(
     return total / len(states)
 
 
-def outcome_metric(pi: Program, other: Program, oset: OpponentSet) -> float:
+def outcome_metric(
+    pi: Program,
+    other: Program,
+    oset: OpponentSet,
+    *,
+    recs_pi: list[MatchRecord] | None = None,
+    recs_other: list[MatchRecord] | None = None,
+) -> float:
     """Fraction of opponents against which both policies end the same way."""
-    sig_pi = oset.signature(pi)
-    sig_other = oset.signature(other)
-    return sum(1 for a, b in zip(sig_pi, sig_other) if a == b) / len(sig_pi)
+    if recs_pi is None:
+        recs_pi = oset.matches(pi)
+    if recs_other is None:
+        recs_other = oset.matches(other)
+    return sum(
+        1 for a, b in zip(recs_pi, recs_other) if a.outcome == b.outcome
+    ) / len(recs_pi)
 
 
 def feature_distance(left: tuple, right: tuple) -> float:
@@ -88,10 +115,19 @@ def feature_distance(left: tuple, right: tuple) -> float:
     ) / len(left)
 
 
-def feature_metric(pi: Program, other: Program, oset: OpponentSet) -> float:
+def feature_metric(
+    pi: Program,
+    other: Program,
+    oset: OpponentSet,
+    *,
+    recs_pi: list[MatchRecord] | None = None,
+    recs_other: list[MatchRecord] | None = None,
+) -> float:
     """Mean per-opponent feature distance; 0 for identical behavior."""
-    recs_pi = oset.matches(pi)
-    recs_other = oset.matches(other)
+    if recs_pi is None:
+        recs_pi = oset.matches(pi)
+    if recs_other is None:
+        recs_other = oset.matches(other)
     return sum(
         feature_distance(a.features[0], b.features[0])
         for a, b in zip(recs_pi, recs_other)
@@ -112,8 +148,9 @@ def mean_feature_vector(pi: Program, oset: OpponentSet) -> tuple[float, ...]:
 def compare(
     pi: Program, other: Program, oset: OpponentSet, per_unit: bool = False
 ) -> BehaviorReport:
+    records = {"recs_pi": oset.matches(pi), "recs_other": oset.matches(other)}
     return BehaviorReport(
-        action=action_metric(pi, other, oset, per_unit=per_unit),
-        outcome=outcome_metric(pi, other, oset),
-        feature=feature_metric(pi, other, oset),
+        action=action_metric(pi, other, oset, per_unit=per_unit, **records),
+        outcome=outcome_metric(pi, other, oset, **records),
+        feature=feature_metric(pi, other, oset, **records),
     )

@@ -13,7 +13,8 @@ Semantics:
   has no unit bound to ``u``: the command is inert and the guard is false.
 * Guards are pure predicates; the two activity counters (units attacking,
   workers harvesting) read the assignment map built so far at this decision
-  point.
+  point. Every other guard that does not read ``u`` depends on the state
+  alone, so it is computed once per decision point.
 
 Resolved actions are concrete (exact target ids and cells), and units left
 unassigned act as if assigned ``idle()``: hold position, auto-attacking the
@@ -22,6 +23,8 @@ closest enemy in range.
 from __future__ import annotations
 
 import hashlib
+import weakref
+from typing import Callable
 
 from ..microlang.ast import (
     BoolCall,
@@ -31,6 +34,7 @@ from ..microlang.ast import (
     If,
     Program,
     Statement,
+    walk,
 )
 from .actions import (
     ATTACK,
@@ -39,7 +43,6 @@ from .actions import (
     MOVE,
     SPAWN,
     Action,
-    STAND_ACTION,
 )
 from .state import Cell, GameState, Unit
 from .units import RESOURCE, BASE
@@ -78,36 +81,56 @@ def _stable_index(key: tuple, size: int) -> int:
     return int.from_bytes(digest, "big") % size
 
 
+# selection criterion -> (stat table, chooser's cell) -> sort key; ties go to
+# the lowest id. Built once rather than six closures per selection.
+_SELECT_KEYS = {
+    "Strongest": lambda stats, pos: lambda v: (-stats[v.kind].attack_damage, v.uid),
+    "Weakest": lambda stats, pos: lambda v: (stats[v.kind].attack_damage, v.uid),
+    "Closest": lambda stats, pos: lambda v: (chebyshev(pos, v.pos), v.uid),
+    "Farthest": lambda stats, pos: lambda v: (-chebyshev(pos, v.pos), v.uid),
+    "LessHealthy": lambda stats, pos: lambda v: (v.hp, v.uid),
+    "MostHealthy": lambda stats, pos: lambda v: (-v.hp, v.uid),
+}
+
+
 class _Context:
     """Per-evaluation scratch state and caches."""
 
     def __init__(self, state: GameState, player: int):
         self.state = state
+        self.stats = state.stats
         self.player = player
-        self.own = sorted(
-            (u for u in state.units.values() if u.owner == player),
-            key=lambda u: u.uid,
-        )
-        self.enemies = sorted(
-            (u for u in state.units.values() if u.owner == (1 - player)),
-            key=lambda u: u.uid,
-        )
-        self.nodes = sorted(
-            (u for u in state.units.values() if u.kind == RESOURCE and u.resources > 0),
-            key=lambda u: u.uid,
-        )
-        self.own_counts: dict[str, int] = {}
-        for u in self.own:
-            self.own_counts[u.kind] = self.own_counts.get(u.kind, 0) + 1
-        self.enemy_counts: dict[str, int] = {}
-        for u in self.enemies:
-            self.enemy_counts[u.kind] = self.enemy_counts.get(u.kind, 0) + 1
+        opponent = 1 - player
+        units = state.units
+        own: list[Unit] = []
+        enemies: list[Unit] = []
+        nodes: list[Unit] = []
+        own_counts: dict[str, int] = {}
+        enemy_counts: dict[str, int] = {}
+        for uid in sorted(units):
+            u = units[uid]
+            if u.owner == player:
+                own.append(u)
+                own_counts[u.kind] = own_counts.get(u.kind, 0) + 1
+            elif u.owner == opponent:
+                enemies.append(u)
+                enemy_counts[u.kind] = enemy_counts.get(u.kind, 0) + 1
+            if u.kind == RESOURCE and u.resources > 0:
+                nodes.append(u)
+        self.own = own
+        self.enemies = enemies
+        self.nodes = nodes
+        self.n_own = len(own)
+        self.own_counts = own_counts
+        self.enemy_counts = enemy_counts
         self.assigned: dict[int, Action] = {}
         self.attacking = 0
         self.harvesting = 0
         self.committed_cost = 0
         self.pending_spawns: dict[str, int] = {}
         self.reserved: set[Cell] = set()
+        # state-only guard values computed so far at this decision point
+        self.guards: dict[BoolCall, bool] = {}
 
     # -- assignment ---------------------------------------------------------
 
@@ -119,10 +142,6 @@ class _Context:
             self.attacking += 1
         elif action.source == "harvest":
             self.harvesting += 1
-
-    @property
-    def all_assigned(self) -> bool:
-        return len(self.assigned) == len(self.own)
 
     # -- target helpers -----------------------------------------------------
 
@@ -200,32 +219,21 @@ class _Context:
             ids = tuple(u.uid for u in pool)
             idx = _stable_index((self.state.seed, unit.uid, ids), len(pool))
             return pool[idx]
-        stats = self.state.stats
-        keys = {
-            "Strongest": lambda v: (-stats[v.kind].attack_damage, v.uid),
-            "Weakest": lambda v: (stats[v.kind].attack_damage, v.uid),
-            "Closest": lambda v: (chebyshev(unit.pos, v.pos), v.uid),
-            "Farthest": lambda v: (-chebyshev(unit.pos, v.pos), v.uid),
-            "LessHealthy": lambda v: (v.hp, v.uid),
-            "MostHealthy": lambda v: (-v.hp, v.uid),
-        }
-        return min(pool, key=keys[criterion])
+        return min(pool, key=_SELECT_KEYS[criterion](self.stats, unit.pos))
 
     def closest_enemy_in_range(self, unit: Unit) -> Unit | None:
-        rng = self.state.stats[unit.kind].attack_range
+        # enemies ascend by id, so the first at the least distance wins ties
         best: Unit | None = None
-        best_key: tuple[int, int] | None = None
+        best_dist = self.stats[unit.kind].attack_range + 1
+        x, y = unit.x, unit.y
         for enemy in self.enemies:
-            dist = chebyshev(unit.pos, enemy.pos)
-            if dist > rng:
-                continue
-            key = (dist, enemy.uid)
-            if best_key is None or key < best_key:
-                best_key, best = key, enemy
+            dist = max(abs(x - enemy.x), abs(y - enemy.y))
+            if dist < best_dist:
+                best, best_dist = enemy, dist
         return best
 
     def idle_resolution(self, unit: Unit) -> Action:
-        if self.state.stats[unit.kind].can_attack:
+        if self.stats[unit.kind].can_attack:
             victim = self.closest_enemy_in_range(unit)
             if victim is not None:
                 return Action(ATTACK, target=victim.uid, source="idle")
@@ -237,233 +245,365 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-def _eval_guard(call: BoolCall, unit: Unit | None, ctx: _Context) -> bool:
+def _within_distance(ctx: _Context, args: tuple) -> bool:
+    limit = args[0]
+    return any(
+        chebyshev(mine.pos, enemy.pos) <= limit
+        for mine in ctx.own
+        for enemy in ctx.enemies
+    )
+
+
+def _kills_in_one(ctx: _Context, args: tuple) -> bool:
+    stats = ctx.stats
+    return any(
+        stats[mine.kind].can_attack
+        and any(stats[mine.kind].attack_damage >= e.hp for e in ctx.enemies)
+        for mine in ctx.own
+    )
+
+
+def _opponent_kills_in_one(ctx: _Context, args: tuple) -> bool:
+    stats = ctx.stats
+    return any(
+        stats[enemy.kind].can_attack
+        and any(stats[enemy.kind].attack_damage >= m.hp for m in ctx.own)
+        for enemy in ctx.enemies
+    )
+
+
+def _in_opponent_range(ctx: _Context, args: tuple) -> bool:
+    stats = ctx.stats
+    return any(
+        chebyshev(mine.pos, enemy.pos) <= stats[enemy.kind].attack_range
+        for mine in ctx.own
+        for enemy in ctx.enemies
+        if stats[enemy.kind].can_attack
+    )
+
+
+def _opponent_in_player_range(ctx: _Context, args: tuple) -> bool:
+    stats = ctx.stats
+    return any(
+        chebyshev(mine.pos, enemy.pos) <= stats[mine.kind].attack_range
+        for mine in ctx.own
+        if stats[mine.kind].can_attack
+        for enemy in ctx.enemies
+    )
+
+
+# guards that read neither ``u`` nor the assignments made so far
+_STATE_GUARDS: dict[str, Callable[[_Context, tuple], bool]] = {
+    "hasNumberOfUnits": lambda ctx, args: ctx.own_counts.get(args[0], 0) >= args[1],
+    "opponentHasNumberOfUnits": (
+        lambda ctx, args: ctx.enemy_counts.get(args[0], 0) >= args[1]
+    ),
+    "hasLessNumberOfUnits": (
+        lambda ctx, args: ctx.own_counts.get(args[0], 0) < args[1]
+    ),
+    "hasUnitWithinDistanceFromOpponent": _within_distance,
+    "hasUnitThatKillsInOneAttack": _kills_in_one,
+    "opponentHasUnitThatKillsUnitInOneAttack": _opponent_kills_in_one,
+    "hasUnitInOpponentRange": _in_opponent_range,
+    "opponentHasUnitInPlayerRange": _opponent_in_player_range,
+}
+# state-only guards that are still false outside a loop
+_UNIT_GATED = frozenset(
+    {
+        "hasUnitThatKillsInOneAttack",
+        "opponentHasUnitThatKillsUnitInOneAttack",
+        "hasUnitInOpponentRange",
+        "opponentHasUnitInPlayerRange",
+    }
+)
+
+
+# ---------------------------------------------------------------------------
+# commands: each runs for a bound unit that has no assignment yet
+# ---------------------------------------------------------------------------
+
+
+def _spawn(cmd: Command, unit: Unit, ctx: _Context) -> None:
+    kind, direction, limit = cmd.args
+    stats = ctx.stats
+    mine = stats[unit.kind]
+    allowed = mine.trains if cmd.name == "train" else mine.builds
+    if kind not in allowed:
+        return
+    have = ctx.own_counts.get(kind, 0) + ctx.pending_spawns.get(kind, 0)
+    if have >= limit:
+        return
+    cost = stats[kind].cost
+    if ctx.state.player_resources[ctx.player] - ctx.committed_cost < cost:
+        return
+    cell = ctx.spawn_cell(unit, direction)
+    if cell is None:
+        return
+    ctx.committed_cost += cost
+    ctx.pending_spawns[kind] = ctx.pending_spawns.get(kind, 0) + 1
+    ctx.reserved.add(cell)
+    ctx.assign(unit, Action(SPAWN, cell=cell, unit_type=kind, source=cmd.name))
+
+
+def _approach(unit: Unit, goal: Cell, source: str, ctx: _Context) -> None:
+    """Assign a step toward ``goal``, or standing still when none helps."""
+    step = ctx.step_toward(unit, goal)
+    action = (
+        Action(MOVE, cell=step, source=source)
+        if step is not None
+        else Action("stand", source=source)
+    )
+    ctx.assign(unit, action)
+
+
+def _attack(cmd: Command, unit: Unit, ctx: _Context) -> None:
+    mine = ctx.stats[unit.kind]
+    if not mine.can_attack or not ctx.enemies:
+        return
+    victim = ctx.select(unit, ctx.enemies, cmd.args[0])
+    if victim is None:
+        return
+    if chebyshev(unit.pos, victim.pos) <= mine.attack_range:
+        ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack"))
+    elif mine.can_move:
+        _approach(unit, victim.pos, "attack", ctx)
+    else:
+        ctx.assign(unit, Action("stand", source="attack"))
+
+
+def _attack_if_in_range(cmd: Command, unit: Unit, ctx: _Context) -> None:
+    if not ctx.stats[unit.kind].can_attack:
+        return
+    victim = ctx.closest_enemy_in_range(unit)
+    if victim is None:
+        return
+    ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack_if_in_range"))
+
+
+def _harvest(cmd: Command, unit: Unit, ctx: _Context) -> None:
+    if not ctx.stats[unit.kind].can_harvest:
+        return
+    if ctx.harvesting >= cmd.args[0]:
+        return
+    if unit.carried > 0:
+        bases = [u for u in ctx.own if u.kind == BASE]
+        depot = ctx.select(unit, bases, "Closest")
+        if depot is None:
+            return
+        if chebyshev(unit.pos, depot.pos) <= 1:
+            ctx.assign(unit, Action(DEPOSIT, target=depot.uid, source="harvest"))
+        else:
+            _approach(unit, depot.pos, "harvest", ctx)
+        return
+    node = ctx.select(unit, ctx.nodes, "Closest")
+    if node is None:
+        return
+    if chebyshev(unit.pos, node.pos) <= 1:
+        ctx.assign(unit, Action(HARVEST, target=node.uid, source="harvest"))
+    else:
+        _approach(unit, node.pos, "harvest", ctx)
+
+
+def _move_to_unit(cmd: Command, unit: Unit, ctx: _Context) -> None:
+    if not ctx.stats[unit.kind].can_move:
+        return
+    side, criterion = cmd.args
+    pool = (
+        [u for u in ctx.own if u.uid != unit.uid]
+        if side == "Ally"
+        else ctx.enemies
+    )
+    goal = ctx.select(unit, pool, criterion)
+    if goal is None:
+        return
+    _approach(unit, goal.pos, "moveToUnit", ctx)
+
+
+def _move_away(cmd: Command, unit: Unit, ctx: _Context) -> None:
+    if not ctx.stats[unit.kind].can_move:
+        return
+    bases = [u for u in ctx.own if u.kind == BASE]
+    anchor = ctx.select(unit, bases, "Closest")
+    if anchor is None:
+        return
+    step = ctx.step_away(unit, anchor.pos)
+    action = (
+        Action(MOVE, cell=step, source="moveAway")
+        if step is not None
+        else Action("stand", source="moveAway")
+    )
+    ctx.assign(unit, action)
+
+
+def _idle(cmd: Command, unit: Unit, ctx: _Context) -> None:
+    ctx.assign(unit, ctx.idle_resolution(unit))
+
+
+_COMMANDS: dict[str, Callable[[Command, Unit, _Context], None]] = {
+    "train": _spawn,
+    "build": _spawn,
+    "attack": _attack,
+    "attack_if_in_range": _attack_if_in_range,
+    "harvest": _harvest,
+    "moveToUnit": _move_to_unit,
+    "moveAway": _move_away,
+    "idle": _idle,
+}
+
+
+# ---------------------------------------------------------------------------
+# compilation: each program is lowered once to a tree of closures
+# ---------------------------------------------------------------------------
+
+# A compiled statement or statement list, run with ``u`` bound to the unit
+# (``None`` outside every loop).
+_Runner = Callable[[Unit | None, _Context], None]
+_Test = Callable[[Unit | None, _Context], bool]
+
+
+def _never(unit: Unit | None, ctx: _Context) -> bool:
+    return False
+
+
+def _nothing(unit: Unit | None, ctx: _Context) -> None:
+    return None
+
+
+def _compile_guard(call: BoolCall, bound: bool) -> _Test:
+    """The guard as a test; ``bound`` says whether it sits inside a loop."""
     name, args = call.name, call.args
-    stats = ctx.state.stats
-    if name == "hasNumberOfUnits":
-        return ctx.own_counts.get(args[0], 0) >= args[1]
-    if name == "opponentHasNumberOfUnits":
-        return ctx.enemy_counts.get(args[0], 0) >= args[1]
-    if name == "hasLessNumberOfUnits":
-        return ctx.own_counts.get(args[0], 0) < args[1]
+    compute = _STATE_GUARDS.get(name)
+    if compute is not None:
+        if not bound and name in _UNIT_GATED:
+            return _never
+
+        def state_only(unit: Unit | None, ctx: _Context) -> bool:
+            guards = ctx.guards
+            value = guards.get(call)
+            if value is None:
+                value = guards[call] = compute(ctx, args)
+            return value
+
+        return state_only
     if name == "haveQtdUnitsAttacking":
-        return ctx.attacking >= args[0]
+        return lambda unit, ctx: ctx.attacking >= args[0]
     if name == "hasNumberOfWorkersHarvesting":
-        return ctx.harvesting >= args[0]
-    if name == "hasUnitWithinDistanceFromOpponent":
-        limit = args[0]
-        return any(
-            chebyshev(mine.pos, enemy.pos) <= limit
-            for mine in ctx.own
-            for enemy in ctx.enemies
-        )
-    if unit is None:
-        return False
+        return lambda unit, ctx: ctx.harvesting >= args[0]
+    if not bound:
+        return _never
     if name == "is_Type":
-        return unit.kind == args[0]
+        return lambda unit, ctx: unit.kind == args[0]
     if name == "isBuilder":
-        return bool(stats[unit.kind].builds)
+        return lambda unit, ctx: bool(ctx.stats[unit.kind].builds)
     if name == "canAttack":
-        return stats[unit.kind].can_attack
+        return lambda unit, ctx: ctx.stats[unit.kind].can_attack
     if name == "canHarvest":
-        return stats[unit.kind].can_harvest and (
+        return lambda unit, ctx: ctx.stats[unit.kind].can_harvest and (
             unit.carried > 0 or bool(ctx.nodes)
-        )
-    if name == "hasUnitThatKillsInOneAttack":
-        return any(
-            stats[mine.kind].can_attack
-            and any(stats[mine.kind].attack_damage >= e.hp for e in ctx.enemies)
-            for mine in ctx.own
-        )
-    if name == "opponentHasUnitThatKillsUnitInOneAttack":
-        return any(
-            stats[enemy.kind].can_attack
-            and any(stats[enemy.kind].attack_damage >= m.hp for m in ctx.own)
-            for enemy in ctx.enemies
-        )
-    if name == "hasUnitInOpponentRange":
-        return any(
-            chebyshev(mine.pos, enemy.pos) <= stats[enemy.kind].attack_range
-            for mine in ctx.own
-            for enemy in ctx.enemies
-            if stats[enemy.kind].can_attack
-        )
-    if name == "opponentHasUnitInPlayerRange":
-        return any(
-            chebyshev(mine.pos, enemy.pos) <= stats[mine.kind].attack_range
-            for mine in ctx.own
-            if stats[mine.kind].can_attack
-            for enemy in ctx.enemies
         )
     raise ValueError(f"unknown guard {name!r}")
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
+def _compile_statement(stmt: Statement, bound: bool) -> _Runner | None:
+    """The statement as a runner, or ``None`` when it can never act."""
+    cls = stmt.__class__
+    if cls is Command:
+        if not bound:
+            return None
+        command = _COMMANDS.get(stmt.name)
+        if command is None:
+            raise ValueError(f"unknown command {stmt.name!r}")
 
+        def run_command(unit: Unit, ctx: _Context) -> None:
+            if unit.uid not in ctx.assigned:
+                command(stmt, unit, ctx)
 
-def _try_command(cmd: Command, unit: Unit | None, ctx: _Context) -> None:
-    if unit is None or unit.uid in ctx.assigned:
-        return
-    name, args = cmd.name, cmd.args
-    stats = ctx.state.stats
-    mine = stats[unit.kind]
+        return run_command
+    if cls is ForLoop:
+        body = _compile_block(stmt.body, True)
+        if any(inner.__class__ is ForLoop for inner in walk(stmt)):
+            # an inner loop rebinds ``u``, so assigned units still matter
+            def run_outer_loop(unit: Unit | None, ctx: _Context) -> None:
+                assigned, n_own = ctx.assigned, ctx.n_own
+                for looped in ctx.own:
+                    if len(assigned) == n_own:
+                        return
+                    body(looped, ctx)
 
-    if name in ("train", "build"):
-        kind, direction, limit = args
-        allowed = mine.trains if name == "train" else mine.builds
-        if kind not in allowed:
-            return
-        have = ctx.own_counts.get(kind, 0) + ctx.pending_spawns.get(kind, 0)
-        if have >= limit:
-            return
-        cost = stats[kind].cost
-        if ctx.state.player_resources[ctx.player] - ctx.committed_cost < cost:
-            return
-        cell = ctx.spawn_cell(unit, direction)
-        if cell is None:
-            return
-        ctx.committed_cost += cost
-        ctx.pending_spawns[kind] = ctx.pending_spawns.get(kind, 0) + 1
-        ctx.reserved.add(cell)
-        ctx.assign(unit, Action(SPAWN, cell=cell, unit_type=kind, source=name))
-        return
+            return run_outer_loop
 
-    if name == "attack":
-        if not mine.can_attack or not ctx.enemies:
-            return
-        victim = ctx.select(unit, ctx.enemies, args[0])
-        if victim is None:
-            return
-        if chebyshev(unit.pos, victim.pos) <= mine.attack_range:
-            ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack"))
-            return
-        step = ctx.step_toward(unit, victim.pos) if mine.can_move else None
-        if step is not None:
-            ctx.assign(unit, Action(MOVE, cell=step, source="attack"))
-        else:
-            ctx.assign(unit, Action("stand", source="attack"))
-        return
-
-    if name == "attack_if_in_range":
-        if not mine.can_attack:
-            return
-        victim = ctx.closest_enemy_in_range(unit)
-        if victim is None:
-            return
-        ctx.assign(
-            unit, Action(ATTACK, target=victim.uid, source="attack_if_in_range")
-        )
-        return
-
-    if name == "harvest":
-        if not mine.can_harvest:
-            return
-        if ctx.harvesting >= args[0]:
-            return
-        if unit.carried > 0:
-            bases = [u for u in ctx.own if u.kind == BASE]
-            depot = ctx.select(unit, bases, "Closest")
-            if depot is None:
-                return
-            if chebyshev(unit.pos, depot.pos) <= 1:
-                ctx.assign(unit, Action(DEPOSIT, target=depot.uid, source="harvest"))
-                return
-            step = ctx.step_toward(unit, depot.pos)
-            action = (
-                Action(MOVE, cell=step, source="harvest")
-                if step is not None
-                else Action("stand", source="harvest")
-            )
-            ctx.assign(unit, action)
-            return
-        node = ctx.select(unit, ctx.nodes, "Closest")
-        if node is None:
-            return
-        if chebyshev(unit.pos, node.pos) <= 1:
-            ctx.assign(unit, Action(HARVEST, target=node.uid, source="harvest"))
-            return
-        step = ctx.step_toward(unit, node.pos)
-        action = (
-            Action(MOVE, cell=step, source="harvest")
-            if step is not None
-            else Action("stand", source="harvest")
-        )
-        ctx.assign(unit, action)
-        return
-
-    if name == "moveToUnit":
-        if not mine.can_move:
-            return
-        side, criterion = args
-        pool = (
-            [u for u in ctx.own if u.uid != unit.uid]
-            if side == "Ally"
-            else list(ctx.enemies)
-        )
-        goal = ctx.select(unit, pool, criterion)
-        if goal is None:
-            return
-        step = ctx.step_toward(unit, goal.pos)
-        action = (
-            Action(MOVE, cell=step, source="moveToUnit")
-            if step is not None
-            else Action("stand", source="moveToUnit")
-        )
-        ctx.assign(unit, action)
-        return
-
-    if name == "moveAway":
-        if not mine.can_move:
-            return
-        bases = [u for u in ctx.own if u.kind == BASE]
-        anchor = ctx.select(unit, bases, "Closest")
-        if anchor is None:
-            return
-        step = ctx.step_away(unit, anchor.pos)
-        action = (
-            Action(MOVE, cell=step, source="moveAway")
-            if step is not None
-            else Action("stand", source="moveAway")
-        )
-        ctx.assign(unit, action)
-        return
-
-    if name == "idle":
-        ctx.assign(unit, ctx.idle_resolution(unit))
-        return
-
-    raise ValueError(f"unknown command {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# statement execution
-# ---------------------------------------------------------------------------
-
-
-def _exec_block(
-    stmts: tuple[Statement, ...], unit: Unit | None, ctx: _Context
-) -> None:
-    for stmt in stmts:
-        if ctx.all_assigned:
-            return
-        if isinstance(stmt, Command):
-            _try_command(stmt, unit, ctx)
-        elif isinstance(stmt, ForLoop):
+        # without one, the body cannot act for an assigned unit: its
+        # commands skip the unit and its guards have no effect
+        def run_loop(unit: Unit | None, ctx: _Context) -> None:
+            assigned, n_own = ctx.assigned, ctx.n_own
             for looped in ctx.own:
-                if ctx.all_assigned:
+                if len(assigned) == n_own:
                     return
-                _exec_block(stmt.body, looped, ctx)
-        elif isinstance(stmt, If):
-            if _eval_guard(stmt.cond, unit, ctx):
-                _exec_block(stmt.then, unit, ctx)
-            elif stmt.orelse is not None:
-                _exec_block(stmt.orelse, unit, ctx)
-        elif isinstance(stmt, Empty):
-            pass
-        else:
-            raise TypeError(f"not a statement: {stmt!r}")
+                if looped.uid not in assigned:
+                    body(looped, ctx)
+
+        return run_loop
+    if cls is If:
+        test = _compile_guard(stmt.cond, bound)
+        then = _compile_block(stmt.then, bound)
+        orelse = (
+            _nothing if stmt.orelse is None else _compile_block(stmt.orelse, bound)
+        )
+
+        def run_if(unit: Unit | None, ctx: _Context) -> None:
+            if test(unit, ctx):
+                then(unit, ctx)
+            else:
+                orelse(unit, ctx)
+
+        return run_if
+    if cls is Empty:
+        return None
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _compile_block(stmts: tuple[Statement, ...], bound: bool) -> _Runner:
+    """The statement list as one runner; it stops as soon as every own unit
+    holds an assignment, since nothing can change after that."""
+    steps = [
+        step
+        for step in (_compile_statement(stmt, bound) for stmt in stmts)
+        if step is not None
+    ]
+    if not steps:
+        return _nothing
+    if len(steps) == 1:
+        return steps[0]
+
+    def run_block(unit: Unit | None, ctx: _Context) -> None:
+        assigned, n_own = ctx.assigned, ctx.n_own
+        for step in steps:
+            if len(assigned) == n_own:
+                return
+            step(unit, ctx)
+
+    return run_block
+
+
+# id(program) -> its compiled body. An entry is dropped when its program is
+# freed, before the id can be reused; the closures read nothing but the
+# program, so sharing them across callers and threads changes no result.
+_COMPILED: dict[int, _Runner] = {}
+
+
+def _compiled(program: Program) -> _Runner:
+    key = id(program)
+    runner = _COMPILED.get(key)
+    if runner is None:
+        runner = _COMPILED[key] = _compile_block(program.body, False)
+        weakref.finalize(program, _COMPILED.pop, key, None)
+    return runner
+
+
+def _run(program: Program, state: GameState, player: int) -> _Context:
+    ctx = _Context(state, player)
+    _compiled(program)(None, ctx)
+    return ctx
 
 
 def evaluate_policy(
@@ -474,9 +614,7 @@ def evaluate_policy(
     The returned map contains an entry for every unit the policy assigned;
     callers treat missing units as ``idle()``.
     """
-    ctx = _Context(state, player)
-    _exec_block(program.body, None, ctx)
-    return ctx.assigned
+    return _run(program, state, player).assigned
 
 
 def resolve_joint(
@@ -484,8 +622,7 @@ def resolve_joint(
 ) -> dict[int, Action]:
     """Like :func:`evaluate_policy` but with idle resolution filled in for
     unassigned units, so two joint maps compare positionally."""
-    ctx = _Context(state, player)
-    _exec_block(program.body, None, ctx)
+    ctx = _run(program, state, player)
     joint = ctx.assigned
     for unit in ctx.own:
         if unit.uid not in joint:

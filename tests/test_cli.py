@@ -342,6 +342,52 @@ class TestScoreCmd:
             "feature": 1.0,
         }
 
+    def test_replay_rejects_non_object_provider_config(self, runner, tmp_path):
+        config = tmp_path / "provider.json"
+        config.write_text('["mock-echo"]')
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + [
+                "--provider", "replay",
+                "--provider-config", str(config),
+                "--cache-dir", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "not a JSON object" in result.output
+
+    def test_mock_records_into_cache_dir(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        result = runner.invoke(
+            main, self.SCORE_ARGS + ["--cache-dir", str(cache)]
+        )
+        assert result.exit_code == 0
+        assert list(cache.glob("*.txt"))
+
+    def test_replay_reads_model_from_provider_config(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        recorded = runner.invoke(
+            main, self.SCORE_ARGS + ["--cache-dir", str(cache)]
+        )
+        assert recorded.exit_code == 0
+        # the same file a live run would pass; replay reads only its model
+        config = tmp_path / "provider.json"
+        config.write_text(
+            json.dumps({"endpoint": "http://127.0.0.1:1/", "model": "mock-echo"})
+        )
+        replayed = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + [
+                "--provider", "replay",
+                "--provider-config", str(config),
+                "--cache-dir", str(cache),
+            ],
+        )
+        assert replayed.exit_code == 0
+        assert json.loads(replayed.output) == json.loads(recorded.output)
+
 
 class TestBaselineCmd:
     def test_rand_baseline(self, runner):

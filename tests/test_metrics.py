@@ -8,6 +8,7 @@ import pytest
 
 from lintscore.metrics import (
     AdmissionReport,
+    BehaviorReport,
     OpponentSet,
     action_metric,
     compare,
@@ -170,6 +171,39 @@ class TestActionMetric:
     def test_per_unit_reflexive(self, tiered, oset8):
         assert action_metric(tiered, tiered, oset8, per_unit=True) == 1.0
 
+    def test_recorded_decisions_equal_replays_on_pool(self, pool16, oset8):
+        """Serving ``other``'s recorded assignments changes no value: every
+        pool16 pair equals a replay of ``other`` on each of π's states."""
+        states = {
+            ident: decision_states(oset8.matches(program))
+            for ident, program in pool16
+        }
+        union = {snapshot for visited in states.values() for snapshot in visited}
+        for other_id, other in pool16:
+            replayed = {
+                snapshot: resolve_joint(other, restore_state(snapshot), 0)
+                for snapshot in union
+            }
+            for pi_id, pi in pool16:
+                pairs = [
+                    (assigned, replayed[snapshot])
+                    for snapshot, assigned in states[pi_id].items()
+                ]
+                joint = sum(1.0 if a == b else 0.0 for a, b in pairs)
+                graded = 0.0
+                for a, b in pairs:
+                    uids = set(a) | set(b)
+                    if uids:
+                        graded += sum(a.get(u) == b.get(u) for u in uids) / len(uids)
+                    else:
+                        graded += 1.0
+                pair = (pi_id, other_id)
+                assert action_metric(pi, other, oset8) == joint / len(pairs), pair
+                assert (
+                    action_metric(pi, other, oset8, per_unit=True)
+                    == graded / len(pairs)
+                ), pair
+
 
 class TestOutcomeMetric:
     def test_mini_signatures(self, strong_set, weak_set):
@@ -258,6 +292,24 @@ class TestCompare:
         report = compare(tiered, empty_program, oset8)
         assert set(report.as_dict()) == {"action", "outcome", "feature"}
         assert report.as_dict()["action"] == report.action
+
+    def test_fetches_each_side_once(self, tiered, empty_program, oset8, monkeypatch):
+        fetched = []
+        matches = OpponentSet.matches
+
+        def counting(oset, program):
+            fetched.append(program)
+            return matches(oset, program)
+
+        monkeypatch.setattr(OpponentSet, "matches", counting)
+        report = compare(tiered, empty_program, oset8)
+        assert fetched == [tiered, empty_program]
+        monkeypatch.undo()
+        assert report == BehaviorReport(
+            action_metric(tiered, empty_program, oset8),
+            outcome_metric(tiered, empty_program, oset8),
+            feature_metric(tiered, empty_program, oset8),
+        )
 
 
 class TestOpponentSet:
