@@ -34,7 +34,13 @@ from .metrics.io_compare import (
 )
 from .microlang import ParseError, parse, print_program, to_dict
 from .obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
-from .pipeline import kshot_baseline, lint_score, load_bundle, make_provider
+from .pipeline import (
+    ProviderError,
+    kshot_baseline,
+    lint_score,
+    load_bundle,
+    make_provider,
+)
 from .resources import data_path
 from .sim import play_match, state_from_map_dict
 
@@ -112,7 +118,8 @@ def _provider_config(
         if not cache_dir:
             raise click.UsageError("--provider replay requires --cache-dir")
         config = {"kind": "replay-cache", "directory": cache_dir}
-        # responses are cached under the recording model's name
+        # responses are cached under the recording model's name, which the
+        # cache's manifest supplies when no provider config names it
         if provider_config:
             model = _read_provider_config(provider_config).get("model")
             if model is not None:
@@ -292,7 +299,8 @@ def obfuscate_cmd(source, level, verify, opponents):
               help="Provider kind [default: mock, or the global --provider].")
 @click.option("--provider-config", type=click.Path(), default=None,
               help="JSON with endpoint/model/temperature for --provider http; "
-                   "--provider replay reads its model.")
+                   "--provider replay reads its model (default: the model "
+                   "recorded in the cache directory's manifest).")
 @click.option("--mock", default="echo", show_default=True,
               type=click.Choice(["echo", "empty", "line-drop"]))
 @click.option("--q", type=float, default=0.0, show_default=True,
@@ -321,7 +329,10 @@ def score_cmd(ctx, programs, opponents, provider_kind, provider_config, mock, q,
     config = _provider_config(
         provider_kind, provider_config, mock, q, mock_seed, cache_dir
     )
-    provider = make_provider(config)
+    try:
+        provider = make_provider(config)
+    except ProviderError as exc:
+        raise click.UsageError(str(exc)) from exc
     bundle = load_bundle("microrts")
     subjects = _programs(programs)
     oset = _opponents(opponents)

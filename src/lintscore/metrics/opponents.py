@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,9 @@ class OpponentSet:
 
     Matches are cached per (policy text, opponent index): the simulator is
     deterministic, so equal canonical sources always replay identically.
+    Each new match against an opponent follows the distinct records already
+    played against it for as long as it repeats one of them (see
+    :func:`play_match`), so a shared match is simulated and stored once.
     """
 
     def __init__(
@@ -40,6 +44,10 @@ class OpponentSet:
         self.max_ticks = max_ticks
         self.decision_period = decision_period
         self._cache: dict[tuple[str, int], MatchRecord] = {}
+        # per opponent index, the distinct records in _cache
+        self._played: list[list[MatchRecord]] = [[] for _ in opponents]
+        # id(program) -> its canonical text, dropped when the program is freed
+        self._keys: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.opponents)
@@ -47,21 +55,33 @@ class OpponentSet:
     def initial_state(self, index: int) -> GameState:
         return state_from_map_dict(self.map_data, seed=self.seed + index)
 
+    def _key_text(self, program: Program) -> str:
+        key = id(program)
+        text = self._keys.get(key)
+        if text is None:
+            text = self._keys[key] = print_program(program)
+            weakref.finalize(program, self._keys.pop, key, None)
+        return text
+
     def matches(self, program: Program) -> list[MatchRecord]:
         """One record per opponent, evaluated policy playing as player 0."""
-        key_text = print_program(program)
+        key_text = self._key_text(program)
         records = []
         for index, opponent in enumerate(self.opponents):
             key = (key_text, index)
             record = self._cache.get(key)
             if record is None:
+                played = self._played[index]
                 record = play_match(
                     program,
                     opponent.program,
                     self.initial_state(index),
                     max_ticks=self.max_ticks,
                     decision_period=self.decision_period,
+                    earlier=played,
                 )
+                if all(r is not record for r in played):
+                    played.append(record)
                 self._cache[key] = record
             records.append(record)
         return records

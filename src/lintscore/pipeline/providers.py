@@ -3,12 +3,15 @@
 Every completion is addressed by ``cache_key(model, prompt, trial)`` so that
 responses can be recorded once and replayed byte-for-byte.  Mock and replay
 providers are pure functions of (prompt, trial): two calls with the same
-arguments always return the same text.
+arguments always return the same text.  A cache directory's
+``manifest.json`` names the model its responses were recorded under, so a
+replay needs no model name of its own.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -36,6 +39,9 @@ class PromptRequest:
     trial: int = 0
     program_source: str = ""
     explanation: str = ""
+
+
+MANIFEST = "manifest.json"
 
 
 def cache_key(model: str, prompt: str, trial: int) -> str:
@@ -118,14 +124,16 @@ class ReplayCacheProvider(Provider):
     """Serves completions from a directory of recorded responses.
 
     A missing recording is an error: replay runs must be fully deterministic,
-    so there is no fallback to a live provider.
+    so there is no fallback to a live provider.  Without a ``model`` the
+    recording model is read from the directory's manifest, and ``"replay"``
+    is used when there is none.
     """
 
     kind = "replay-cache"
 
-    def __init__(self, directory: str | Path, model: str = "replay") -> None:
+    def __init__(self, directory: str | Path, model: str | None = None) -> None:
         self.directory = Path(directory)
-        self.model = model
+        self.model = model if model is not None else _recorded_model(self.directory)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.txt"
@@ -153,7 +161,8 @@ class CachingProvider(Provider):
     """Write-through cache around another provider.
 
     Reads are lock-free; writes go through a temp file and an atomic rename,
-    so concurrent readers never observe partial responses.
+    so concurrent readers never observe partial responses.  The first write
+    into a directory without a manifest also records the model in one.
     """
 
     def __init__(self, inner: Provider, directory: str | Path) -> None:
@@ -176,7 +185,24 @@ class CachingProvider(Provider):
         response = self.inner.complete(request)
         self.directory.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, response)
+        manifest = self.directory / MANIFEST
+        if not manifest.exists():
+            _atomic_write(manifest, json.dumps({"model": self.model}) + "\n")
         return response
+
+
+def _recorded_model(directory: Path) -> str:
+    """The model named by ``directory``'s manifest, or ``"replay"``."""
+    path = directory / MANIFEST
+    if not path.exists():
+        return "replay"
+    try:
+        model = json.loads(path.read_text(encoding="utf-8"))["model"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ProviderError(f"unreadable cache manifest {path}: {exc}") from exc
+    if not isinstance(model, str):
+        raise ProviderError(f"cache manifest {path} names no model")
+    return model
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -200,7 +226,8 @@ def make_provider(config: dict) -> Provider:
 
         {"kind": "http", "endpoint": ..., "model": ..., "temperature": 0.0,
          "timeout": 60, "api_key_env": "LINT_API_KEY", "cache": "runs/cache"}
-        {"kind": "replay-cache", "directory": "runs/cache", "model": "replay"}
+        {"kind": "replay-cache", "directory": "runs/cache",
+         "model": <optional, default from the cache manifest>}
         {"kind": "mock", "mock": "echo" | "empty" | "line-drop" | "scripted",
          "q": 0.2, "seed": 7, "responses": {...}}
     """
@@ -221,9 +248,7 @@ def make_provider(config: dict) -> Provider:
             provider = CachingProvider(provider, cache_dir)
         return provider
     if kind == "replay-cache":
-        return ReplayCacheProvider(
-            config["directory"], model=config.get("model", "replay")
-        )
+        return ReplayCacheProvider(config["directory"], model=config.get("model"))
     if kind == "mock":
         name = config.get("mock", "echo")
         if name == "echo":

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..microlang.ast import Program
 from .actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN, Action
 from .evaluator import chebyshev, resolve_joint
-from .state import GameState
-from .units import BARRACKS, BASE, HEAVY, LIGHT, RANGED, WORKER
+from .state import GameState, restore_state
+from .units import BARRACKS, BASE, HEAVY, LIGHT, RANGED, WORKER, UnitStats
 
 FEATURE_KINDS = (WORKER, LIGHT, HEAVY, RANGED, BASE, BARRACKS)
 
@@ -24,6 +25,12 @@ class MatchCounters:
         return tuple(kinds.get(k, 0) for k in FEATURE_KINDS) + (
             self.collected[player],
         )
+
+    def frozen(self) -> tuple[tuple, tuple[int, int], int]:
+        """(spawned, collected, dropped) as a :class:`DecisionEntry` keeps
+        them."""
+        spawned = tuple(tuple(sorted(kinds.items())) for kinds in self.spawned)
+        return spawned, (self.collected[0], self.collected[1]), self.dropped
 
 
 def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) -> None:
@@ -136,14 +143,35 @@ def snapshot_digest(snapshot: tuple) -> str:
     return hashlib.sha256(repr(snapshot).encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionEntry:
     snapshot: tuple
     actions: dict[int, Action]  # resolved joint assignment for player 0
+    # The rest of the full state as of before this tick: with the snapshot,
+    # enough to resume the match here.
+    tick: int
+    next_uid: int
+    spawned: tuple[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]
+    collected: tuple[int, int]
+    dropped: int
 
     @property
     def digest(self) -> str:
         return snapshot_digest(self.snapshot)
+
+    def resume(
+        self, stats: dict[str, UnitStats]
+    ) -> tuple[GameState, MatchCounters]:
+        """The full state and counters as of before this entry's tick."""
+        state = restore_state(self.snapshot, stats)
+        state.tick = self.tick
+        state.next_uid = self.next_uid
+        counters = MatchCounters(
+            (dict(self.spawned[0]), dict(self.spawned[1])),
+            list(self.collected),
+            self.dropped,
+        )
+        return state, counters
 
 
 @dataclass
@@ -183,6 +211,8 @@ def play_match(
     initial: GameState,
     max_ticks: int = 2000,
     decision_period: int = 1,
+    *,
+    earlier: Sequence[MatchRecord] = (),
 ) -> MatchRecord:
     """Run both policies to elimination, a repeated state, or the tick limit.
 
@@ -190,20 +220,49 @@ def play_match(
     the remainder of the match repeats forever, so it ends early as a draw
     with ``fixed_point`` set. Decision entries record player 0's resolved
     assignments at each decision state (first occurrence only).
+
+    ``earlier`` holds records of matches against the same ``program1`` from
+    the same ``initial`` state with the same limits. The simulator is
+    deterministic, so while player 0's assignments equal those of one of
+    them, this match repeats it: only player 0 is evaluated, on the recorded
+    snapshot, and the record supplies the next decision state. A match that
+    repeats a record to its end returns that record; one that departs from
+    it shares the common prefix's entries and is simulated from there on.
     """
-    state = initial.clone()
-    counters = MatchCounters()
     entries: list[DecisionEntry] = []
-    seen: set[tuple] = set()
+    following = list(earlier)
+    diverged: dict[int, Action] | None = None
+    while following:
+        record = following[0]
+        index = len(entries)
+        if index == len(record.entries):
+            return record
+        entry = record.entries[index]
+        state = restore_state(entry.snapshot, initial.stats)
+        joint0 = resolve_joint(program0, state, 0)
+        following = [r for r in following if r.entries[index].actions == joint0]
+        if following:
+            entries.append(following[0].entries[index])
+        else:
+            diverged = joint0
+
+    if diverged is None:
+        state = initial.clone()
+        counters = MatchCounters()
+    else:
+        state, counters = entry.resume(initial.stats)
     can_short_circuit = decision_period == 1 and all(
         s.move_period == 1 for s in state.stats.values()
     )
+    # every tick is a decision tick when the short cut applies
+    seen = {e.snapshot for e in entries} if can_short_circuit else set()
     joint0: dict[int, Action] = {}
     joint1: dict[int, Action] = {}
     outcome: int | None = None
     fixed_point = False
 
-    for _ in range(max_ticks):
+    end_tick = initial.tick + max_ticks
+    while state.tick < end_tick:
         alive0 = any(u.owner == 0 for u in state.units.values())
         alive1 = any(u.owner == 1 for u in state.units.values())
         if not alive0 or not alive1:
@@ -217,9 +276,16 @@ def play_match(
                 break
             seen.add(snap)
         if state.tick % decision_period == 0:
-            joint0 = resolve_joint(program0, state, 0)
+            if diverged is None:
+                joint0 = resolve_joint(program0, state, 0)
+            else:
+                joint0, diverged = diverged, None
             joint1 = resolve_joint(program1, state, 1)
-            entries.append(DecisionEntry(snap, joint0))
+            entries.append(
+                DecisionEntry(
+                    snap, joint0, state.tick, state.next_uid, *counters.frozen()
+                )
+            )
         step(state, {**joint0, **joint1}, counters)
 
     if outcome is None:

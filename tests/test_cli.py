@@ -388,6 +388,31 @@ class TestScoreCmd:
         assert replayed.exit_code == 0
         assert json.loads(replayed.output) == json.loads(recorded.output)
 
+    def test_replay_rejects_unreadable_manifest(self, runner, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1]")
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS + ["--provider", "replay", "--cache-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 2
+        assert "manifest" in result.output
+
+    def test_replay_reads_model_from_cache_manifest(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        recorded = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + ["--provider", "mock", "--mock", "line-drop", "--q", "0.3",
+               "--cache-dir", str(cache)],
+        )
+        assert recorded.exit_code == 0
+        replayed = runner.invoke(
+            main,
+            self.SCORE_ARGS + ["--provider", "replay", "--cache-dir", str(cache)],
+        )
+        assert replayed.exit_code == 0
+        assert json.loads(replayed.output) == json.loads(recorded.output)
+
 
 class TestBaselineCmd:
     def test_rand_baseline(self, runner):

@@ -1,4 +1,5 @@
 """Experiment harness: config handling, summary tables, and full sweeps."""
+import hashlib
 import json
 import math
 import statistics
@@ -458,3 +459,29 @@ class TestExperimentResultWrite:
         run_experiment(cfg).write(tmp_path)
         for path in (tmp_path / "summary.json", tmp_path / "config.json"):
             assert path.read_text().endswith("\n")
+
+
+# SHA-256 of each summary file for SUMMARY_PIN_CONFIG, computed before match
+# records were shared between matches; any change to a score, to the table
+# format or to the config serialisation changes them.
+SUMMARY_PIN_CONFIG = dict(
+    provider={"kind": "mock", "mock": "line-drop", "q": 0.2, "seed": 3},
+    obfuscation_levels=[1],
+)
+SUMMARY_PINS = {
+    "summary.json": "67cb44b8b5ede29ad07ac3734bbd5bf3146a80d79edcfc0152daac399053a9b1",
+    "summary.md": "1e435c8f2b1a515815ef4cb49c4130cd7b7f2dae33ceda24d24af7da8a7f5595",
+    "summary.csv": "69b626f8d7e721eaa4e7e7e9059c55ec2e8613b2a070acb73adc9980f38b73c1",
+}
+
+
+def test_summary_bytes_pinned(tmp_path):
+    """Line-drop reconstructions, one obfuscation level and every baseline on
+    pool8 against standard-8; no cache directory, so no path enters the
+    bytes."""
+    run_experiment(small_config(**SUMMARY_PIN_CONFIG)).write(tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SUMMARY_PINS
+    }
+    assert digests == SUMMARY_PINS

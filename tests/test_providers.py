@@ -154,6 +154,31 @@ class TestCachingProvider:
         assert provider.complete(PromptRequest("r", "p")) == "from disk"
         assert inner.calls == 0
 
+    def test_first_write_records_the_model_for_replay(self, tmp_path):
+        provider = CachingProvider(_CountingProvider(), tmp_path / "cache")
+        provider.complete(PromptRequest("r", "p"))
+        manifest = tmp_path / "cache" / "manifest.json"
+        assert json.loads(manifest.read_text()) == {"model": "counting"}
+        replay = ReplayCacheProvider(tmp_path / "cache")
+        assert replay.model == "counting"
+        assert replay.complete(PromptRequest("r", "p")) == "counted answer"
+        assert make_provider(
+            {"kind": "replay-cache", "directory": str(tmp_path / "cache")}
+        ).model == "counting"
+
+    def test_manifest_kept_once_written(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"model": "first"}\n')
+        CachingProvider(_CountingProvider(), tmp_path).complete(
+            PromptRequest("r", "p")
+        )
+        assert manifest.read_text() == '{"model": "first"}\n'
+
+    def test_unreadable_manifest_is_a_provider_error(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1]")
+        with pytest.raises(ProviderError, match="manifest"):
+            ReplayCacheProvider(tmp_path)
+
     def test_unicode_round_trip(self, tmp_path):
         inner = _CountingProvider(answer="héllo → wörld\n")
         provider = CachingProvider(inner, tmp_path)
