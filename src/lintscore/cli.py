@@ -10,21 +10,20 @@ from __future__ import annotations
 import json
 import shlex
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .harness import (
+    METRIC_COLUMNS,
     ConfigError,
     ExperimentConfig,
     SummaryTable,
     load_opponent_set,
-    load_program_set,
-    resolve_map_description,
     run_experiment,
 )
-from .metrics.baselines import closest_feature, closest_syntax, rand_index
 from .metrics.behavior import compare
 from .metrics.io_compare import (
     ExecFailure,
@@ -34,13 +33,7 @@ from .metrics.io_compare import (
 )
 from .microlang import ParseError, parse, print_program, to_dict
 from .obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
-from .pipeline import (
-    ProviderError,
-    kshot_baseline,
-    lint_score,
-    load_bundle,
-    make_provider,
-)
+from .pipeline import ProviderError
 from .resources import data_path
 from .sim import play_match, state_from_map_dict
 
@@ -85,13 +78,16 @@ def _opponents(spec: str):
         raise click.UsageError(str(exc)) from exc
 
 
-def _programs(spec: str):
+@contextmanager
+def _experiment_errors():
+    """Exit 2 on a bad configuration or provider, 1 on an unparseable
+    program set."""
     try:
-        return load_program_set(spec)
-    except ConfigError as exc:
+        yield
+    except (ConfigError, ProviderError) as exc:
         raise click.UsageError(str(exc)) from exc
     except ParseError as exc:
-        raise click.ClickException(f"program set {spec}: {exc}") from exc
+        raise click.ClickException(f"program set: {exc}") from exc
 
 
 def _read_provider_config(path: str) -> dict:
@@ -326,21 +322,20 @@ def score_cmd(ctx, programs, opponents, provider_kind, provider_config, mock, q,
         provider_kind = ctx.obj.get("provider") or "mock"
     if out_dir is None:
         out_dir = ctx.obj.get("out")
-    config = _provider_config(
+    provider = _provider_config(
         provider_kind, provider_config, mock, q, mock_seed, cache_dir
     )
-    try:
-        provider = make_provider(config)
-    except ProviderError as exc:
-        raise click.UsageError(str(exc)) from exc
-    bundle = load_bundle("microrts")
-    subjects = _programs(programs)
-    oset = _opponents(opponents)
-    score, runs = lint_score(
-        subjects, oset, bundle, provider,
-        k=k, max_retries=max_retries, literal_min=literal_min,
-        per_unit=per_unit, workers=workers,
-    )
+    with _experiment_errors():
+        result = run_experiment(
+            ExperimentConfig(
+                programs=programs, opponents=opponents, provider=provider,
+                k=k, max_retries=max_retries, literal_min=literal_min,
+                per_unit=per_unit, workers=workers, baselines=[],
+            )
+        )
+    lint = result.table.rows[0]
+    score = {metric: lint.cells[metric].mean for metric in METRIC_COLUMNS}
+    runs = result.runs["LINT"]
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -353,7 +348,7 @@ def score_cmd(ctx, programs, opponents, provider_kind, provider_config, mock, q,
             json.dumps(score, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     _echo_json(score)
-    if all(run.error is not None for run in runs):
+    if result.total_failure:
         raise click.ClickException("every program failed")
 
 
@@ -379,20 +374,19 @@ def baseline_cmd(ctx, programs, opponents, baseline_key, pool, seed, k,
     """Evaluate one reference-point baseline over a program set."""
     if ctx.obj.get("seed") is not None:
         seed = ctx.obj["seed"]
-    cfg = ExperimentConfig(
-        programs=programs,
-        opponents=opponents,
-        pool_other=pool,
-        provider={"kind": "mock", "mock": mock},
-        k=k,
-        seed=seed,
-        baselines=[baseline_key],
-        map_description=map_description,
-    )
-    try:
-        result = run_experiment(cfg)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
+    with _experiment_errors():
+        result = run_experiment(
+            ExperimentConfig(
+                programs=programs,
+                opponents=opponents,
+                pool_other=pool,
+                provider={"kind": "mock", "mock": mock},
+                k=k,
+                seed=seed,
+                baselines=[baseline_key],
+                map_description=map_description,
+            )
+        )
     label = result.table.rows[-1].label
     _echo_json(
         {
@@ -439,7 +433,7 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
             )
         return
 
-    try:
+    with _experiment_errors():
         cfg = ExperimentConfig.from_file(config_path)
         if ctx.obj.get("seed") is not None:
             cfg.seed = ctx.obj["seed"]
@@ -454,8 +448,6 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
         if out_dir:
             cfg.out = out_dir
         result = run_experiment(cfg)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
     click.echo(result.table.markdown(), nl=False)
     if result.errors:
         click.echo(

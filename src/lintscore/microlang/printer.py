@@ -11,7 +11,7 @@ An empty program prints as the empty string, and there is no trailing newline.
 """
 from __future__ import annotations
 
-from .ast import BoolCall, Command, Empty, ForLoop, If, Program, Statement
+from .ast import Command, Empty, ForLoop, If, Program, Statement
 
 _INDENT = "    "
 

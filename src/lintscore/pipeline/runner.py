@@ -102,22 +102,12 @@ class LintRun:
 
 
 @dataclass(frozen=True)
-class KshotTrial:
-    trial: int
-    source: str | None
-    action: float
-    outcome: float
-    feature: float
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class KshotResult:
     """Best-of-k sample from the map-description-only prompt."""
 
     report: BehaviorReport
     best_trial: int
-    trials: tuple[KshotTrial, ...]
+    trials: tuple[Trial, ...]
 
 
 class _Tracker(Provider):
@@ -223,60 +213,70 @@ def explain(
     raise VerifierExhausted(verdicts)
 
 
-def reconstruct(
-    explanation: str,
-    bundle: PromptBundle,
-    provider: Provider,
-    k: int,
-) -> list[Trial]:
-    """Draw k independent reconstructions from one explanation.
+def _sample(
+    role: str, prompt: str, provider: Provider, k: int, **context: str
+) -> list[Program | str]:
+    """k completions of one prompt, each a parsed program or a named failure.
 
-    Each trial's ``<strategy>`` body is parsed as a Microlanguage program.  A
-    missing tag falls back to the raw response text; an unparseable trial is
-    recorded as failed (scores filled in later), never retried.
+    A completion's ``<strategy>`` body is parsed as a Microlanguage program; a
+    missing tag falls back to the raw response text.  A provider error or an
+    unparseable completion becomes its error message, never a retry.
     """
 
-    prompt = bundle.render_reconstructor(explanation)
-    trials: list[Trial] = []
+    samples: list[Program | str] = []
     for index in range(k):
         try:
             response = provider.complete(
-                PromptRequest(
-                    "reconstructor", prompt, index, explanation=explanation
-                )
+                PromptRequest(role, prompt, index, **context)
             )
         except ProviderError as exc:
-            trials.append(_failed_trial(index, f"provider error: {exc}"))
+            samples.append(f"provider error: {exc}")
             continue
         body = extract_tag(response, "strategy")
-        if body is None:
-            body = response
         try:
-            candidate = parse(body)
+            samples.append(parse(response if body is None else body))
         except ParseError as exc:
-            trials.append(_failed_trial(index, f"parse error: {exc}"))
+            samples.append(f"parse error: {exc}")
+    return samples
+
+
+def _score_samples(
+    pi: Program,
+    samples: list[Program | str],
+    oset: OpponentSet,
+    per_unit: bool = False,
+) -> list[Trial]:
+    """One trial per sample, scored against ``pi``; failures score WORST."""
+
+    trials: list[Trial] = []
+    for index, sample in enumerate(samples):
+        if isinstance(sample, str):
+            trials.append(Trial(index, None, **WORST, error=sample))
             continue
+        report = compare(pi, sample, oset, per_unit=per_unit)
         trials.append(
             Trial(
-                trial=index,
-                source=print_program(candidate),
-                action=0.0,
-                outcome=0.0,
-                feature=1.0,
+                index,
+                print_program(sample),
+                report.action,
+                report.outcome,
+                report.feature,
             )
         )
     return trials
 
 
-def _failed_trial(index: int, error: str) -> Trial:
-    return Trial(
-        trial=index,
-        source=None,
-        action=WORST["action"],
-        outcome=WORST["outcome"],
-        feature=WORST["feature"],
-        error=error,
-    )
+def reconstruct(
+    explanation: str,
+    bundle: PromptBundle,
+    provider: Provider,
+    k: int,
+) -> list[Program | str]:
+    """Draw k independent reconstructions from one explanation: trial i is a
+    parsed program or the error that stopped it (see ``_sample``)."""
+
+    prompt = bundle.render_reconstructor(explanation)
+    return _sample("reconstructor", prompt, provider, k, explanation=explanation)
 
 
 def aggregate_trials(
@@ -339,21 +339,8 @@ def score_program(
         error = f"provider error: {exc}"
 
     if explanation is not None:
-        raw_trials = reconstruct(explanation, bundle, tracker, k)
-        for trial in raw_trials:
-            if trial.failed:
-                trials.append(trial)
-                continue
-            report = compare(program, parse(trial.source), oset, per_unit=per_unit)
-            trials.append(
-                Trial(
-                    trial=trial.trial,
-                    source=trial.source,
-                    action=report.action,
-                    outcome=report.outcome,
-                    feature=report.feature,
-                )
-            )
+        samples = reconstruct(explanation, bundle, tracker, k)
+        trials = _score_samples(program, samples, oset, per_unit)
         aggregated = aggregate_trials(trials, literal_min=literal_min)
     else:
         aggregated = dict(WORST)
@@ -452,38 +439,10 @@ def kshot_baseline(
     if k < 1:
         raise ValueError("k must be >= 1")
     prompt = bundle.render_kshot(map_description)
-    source = print_program(pi)
-    trials: list[KshotTrial] = []
-    for index in range(k):
-        try:
-            response = provider.complete(
-                PromptRequest("kshot", prompt, index, program_source=source)
-            )
-        except ProviderError as exc:
-            trials.append(
-                KshotTrial(index, None, 0.0, 0.0, 1.0, f"provider error: {exc}")
-            )
-            continue
-        body = extract_tag(response, "strategy")
-        if body is None:
-            body = response
-        try:
-            candidate = parse(body)
-        except ParseError as exc:
-            trials.append(
-                KshotTrial(index, None, 0.0, 0.0, 1.0, f"parse error: {exc}")
-            )
-            continue
-        report = compare(pi, candidate, oset, per_unit=per_unit)
-        trials.append(
-            KshotTrial(
-                index,
-                print_program(candidate),
-                report.action,
-                report.outcome,
-                report.feature,
-            )
-        )
+    samples = _sample(
+        "kshot", prompt, provider, k, program_source=print_program(pi)
+    )
+    trials = _score_samples(pi, samples, oset, per_unit)
     best = min(trials, key=lambda t: (-t.action, -t.outcome, t.feature, t.trial))
     return KshotResult(
         report=BehaviorReport(best.action, best.outcome, best.feature),

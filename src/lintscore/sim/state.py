@@ -5,7 +5,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .units import DEFAULT_STATS, RESOURCE, UnitStats, load_stats
+from .units import DEFAULT_STATS, RESOURCE, UnitStats
 
 Cell = tuple[int, int]
 
@@ -215,11 +215,5 @@ def state_from_map_dict(
     return state
 
 
-def load_map(
-    path: str | Path,
-    seed: int = 0,
-    stats_overrides: dict | None = None,
-) -> GameState:
-    data = json.loads(Path(path).read_text())
-    stats = load_stats(stats_overrides) if stats_overrides else None
-    return state_from_map_dict(data, seed, stats)
+def load_map(path: str | Path, seed: int = 0) -> GameState:
+    return state_from_map_dict(json.loads(Path(path).read_text()), seed)

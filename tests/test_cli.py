@@ -13,6 +13,7 @@ from lintscore import __version__
 from lintscore.cli import main
 from lintscore.microlang import parse, print_program, to_dict
 from lintscore.obfuscate import obfuscate
+from lintscore.pipeline import LineDropProvider, lint_score
 from lintscore.resources import data_path
 
 SIMPLE = "for(Unit u){\n    u.attack(Closest)\n}"
@@ -413,6 +414,29 @@ class TestScoreCmd:
         assert replayed.exit_code == 0
         assert json.loads(replayed.output) == json.loads(recorded.output)
 
+    def test_out_matches_lint_score(self, runner, tmp_path, bundle, pool8, oset8):
+        """``lint score`` is ``run_experiment`` with no baselines: its score
+        and per-program files are those of ``lint_score`` itself."""
+        out = tmp_path / "runs"
+        result = runner.invoke(
+            main,
+            [
+                "score", "--programs", "pool8", "--opponents", "standard-8",
+                "--mock", "line-drop", "--q", "0.3", "--k", "3",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0
+        score, runs = lint_score(
+            pool8, oset8, bundle, LineDropProvider(q=0.3, seed=0), k=3
+        )
+        assert json.loads(result.output) == score
+        assert json.loads((out / "score.json").read_text()) == score
+        assert len(list(out.iterdir())) == len(runs) + 1
+        for run in runs:
+            expected = json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
+            assert (out / f"{run.program_id}.json").read_text() == expected
+
 
 class TestBaselineCmd:
     def test_rand_baseline(self, runner):
@@ -573,6 +597,22 @@ class TestReportCmd:
         assert result.exit_code == 1
         assert "| LINT |" in result.stdout
         assert "every program failed" in result.stderr
+
+    def test_unknown_provider_exits_two(self, runner, tmp_path):
+        path = tmp_path / "telepathy.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "programs": "pool8",
+                    "opponents": "standard-8",
+                    "provider": {"kind": "mock", "mock": "telepathy"},
+                    "baselines": [],
+                }
+            )
+        )
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "telepathy" in result.output
 
 
 class TestGlobalOptions:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from lintscore.metrics import compare
-from lintscore.microlang import parse, print_program
+from lintscore.microlang import Program, parse, print_program
 from lintscore.pipeline import (
     CachingProvider,
     EchoProvider,
@@ -28,7 +28,7 @@ from lintscore.pipeline import (
     verify,
 )
 from lintscore.pipeline.mocks import ACCEPT_RESPONSE
-from lintscore.pipeline.runner import WORST
+from lintscore.pipeline.runner import WORST, _score_samples
 
 from sample_texts import (
     CLEAN_EXPLANATION,
@@ -178,9 +178,14 @@ class TestExplain:
 
 
 class TestReconstruct:
-    def test_echo_round_trips_source(self, bundle, tiered):
+    """``reconstruct`` returns one sample per trial, a parsed program or a
+    named failure; ``_score_samples`` turns the samples into trials."""
+
+    def test_echo_round_trips_source(self, bundle, tiered, oset8):
         source = print_program(tiered)
-        trials = reconstruct(source, bundle, EchoProvider(), k=3)
+        samples = reconstruct(source, bundle, EchoProvider(), k=3)
+        assert all(print_program(sample) == source for sample in samples)
+        trials = _score_samples(tiered, samples, oset8)
         assert [t.trial for t in trials] == [0, 1, 2]
         for trial in trials:
             assert not trial.failed
@@ -189,11 +194,11 @@ class TestReconstruct:
 
     def test_missing_strategy_tag_falls_back_to_raw_text(self, bundle):
         provider = ScriptedProvider({"reconstructor": SIMPLE})
-        trials = reconstruct("anything", bundle, provider, k=1)
-        assert trials[0].source == print_program(parse(SIMPLE))
-        assert not trials[0].failed
+        samples = reconstruct("anything", bundle, provider, k=1)
+        assert isinstance(samples[0], Program)
+        assert print_program(samples[0]) == print_program(parse(SIMPLE))
 
-    def test_unparseable_trial_recorded_not_retried(self, bundle):
+    def test_unparseable_trial_recorded_not_retried(self, bundle, tiered, oset8):
         provider = ScriptedProvider(
             {
                 "reconstructor": [
@@ -205,19 +210,24 @@ class TestReconstruct:
                 ]
             }
         )
-        trials = reconstruct("anything", bundle, provider, k=5)
-        assert len(trials) == 5
+        samples = reconstruct("anything", bundle, provider, k=5)
+        assert len(samples) == 5
         assert provider.calls("reconstructor") == 5
+        assert samples[2].startswith("parse error:")
+        trials = _score_samples(tiered, samples, oset8)
         bad = trials[2]
         assert bad.failed
         assert bad.source is None
-        assert bad.error.startswith("parse error:")
+        assert bad.error == samples[2]
         assert (bad.action, bad.outcome, bad.feature) == (0.0, 0.0, 1.0)
         assert all(not t.failed for i, t in enumerate(trials) if i != 2)
 
-    def test_provider_error_becomes_failed_trial(self, bundle, tmp_path):
+    def test_provider_error_becomes_failed_trial(self, bundle, tiered, tmp_path):
         provider = ReplayCacheProvider(tmp_path)  # empty: every call misses
-        trials = reconstruct("anything", bundle, provider, k=2)
+        samples = reconstruct("anything", bundle, provider, k=2)
+        assert all(sample.startswith("provider error:") for sample in samples)
+        # failures score WORST without reaching an opponent set
+        trials = _score_samples(tiered, samples, None)
         assert all(t.failed for t in trials)
         assert all(t.error.startswith("provider error:") for t in trials)
 
@@ -486,8 +496,8 @@ class TestLineDropProvider:
 
     def test_q_zero_is_echo(self, bundle, tiered):
         source = print_program(tiered)
-        trials = reconstruct(source, bundle, LineDropProvider(0.0, seed=5), k=2)
-        assert all(t.source == source for t in trials)
+        samples = reconstruct(source, bundle, LineDropProvider(0.0, seed=5), k=2)
+        assert all(print_program(sample) == source for sample in samples)
 
     def test_only_command_lines_dropped(self, tiered):
         source = print_program(tiered)
