@@ -3,6 +3,7 @@
 Exit-code contract: 0 success, 1 failed work (parse errors, lost runs),
 2 usage/configuration errors.
 """
+import hashlib
 import json
 import sys
 
@@ -18,6 +19,27 @@ from lintscore.resources import data_path
 
 SIMPLE = "for(Unit u){\n    u.attack(Closest)\n}"
 TIERED_PATH = str(data_path("policies", "examples", "tiered_rush.mrl"))
+
+# SHA-256 of files the CLI writes, computed before the JSON serializers were
+# derived from the dataclasses; the bytes must not change.
+RECORD_PIN = "12fce693d7ea584d286cba9b00de095c79345bbbca558a14b3742c7334cb3d5d"
+SCORE_OUT_PINS = {
+    "q01.json": "c1dfdb08ed171921431cc213ccebb5b72b35b2c0bb6d0fbbbefd6fed6994c9fb",
+    "q02.json": "215fc5a294f30a096141d1c0460b5f1dcd877671f03e8a57109f037bdb2e7fd5",
+    "q03.json": "c36fa2878a9665b835c81beb292fc75e73b7be615c37da6f17a94e9f855ff795",
+    "q04.json": "d62a3bcfc2e50f748531f385b6a27ab17fc2ba00910cb91f92ddf91c0104f792",
+    "q05.json": "ffa22a1400cc9f36cdce00cd1b6548e1cab4bbb69f584088e31b2601f7920599",
+    "q06.json": "56c3952ead6a71ea560c2561d6230fb694daefd590ea706b19bed16d4e136edc",
+    "q07.json": "329223ffa6dd31d7d33aa61a7bd75b41c133b71d937a0213b9ccb9f3f0a59cf0",
+    "q08.json": "dd0b8d0535748dfb8a45ad5d4bcfd01582d95370336f4f04572905ea9a085108",
+    "q09.json": "9882ec5a976ee2313b22b52cad446194ec026cd4dae15c359a8affcfb7898166",
+    "q10.json": "9402eebba1ce270f574dbd55a3c74d8af4766f88efff0fe805cedc2911500ea5",
+    "score.json": "ae0310d4cf0a4446a2b5cb264e932bd27e4d8209cbfb336b2bb2347785ecd854",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 DUEL_MAP = {
     "name": "duel",
@@ -132,6 +154,22 @@ class TestSimulateCmd:
             "decisions",
         }
         assert record["outcome"] == 1
+
+    def test_record_bytes_pinned(self, runner, tmp_path):
+        record_path = tmp_path / "match.json"
+        result = runner.invoke(
+            main,
+            [
+                "simulate",
+                "--p0", TIERED_PATH,
+                "--p1", str(data_path("policies", "pool8", "q01.mrl")),
+                "--map", "BaseWorkers-8x8",
+                "--max-ticks", "120",
+                "--record", str(record_path),
+            ],
+        )
+        assert result.exit_code == 0
+        assert _sha256(record_path) == RECORD_PIN
 
     def test_bundled_map_name(self, runner, duel_files):
         _, p0, p1 = duel_files
@@ -436,6 +474,19 @@ class TestScoreCmd:
         for run in runs:
             expected = json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
             assert (out / f"{run.program_id}.json").read_text() == expected
+
+    def test_out_bytes_pinned(self, runner, tmp_path):
+        out = tmp_path / "runs"
+        result = runner.invoke(
+            main,
+            [
+                "score", "--programs", "pool8", "--opponents", "standard-8",
+                "--mock", "line-drop", "--q", "0.3", "--k", "2",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0
+        assert {p.name: _sha256(p) for p in out.iterdir()} == SCORE_OUT_PINS
 
 
 class TestBaselineCmd:
