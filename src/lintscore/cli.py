@@ -11,6 +11,7 @@ import json
 import shlex
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -21,6 +22,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     SummaryTable,
+    dump_json,
     load_opponent_set,
     run_experiment,
 )
@@ -40,8 +42,8 @@ from .sim import play_match, state_from_map_dict
 _BUNDLED_MAPS = ("BaseWorkers-8x8", "BaseWorkers-16x16A")
 
 
-def _echo_json(data) -> None:
-    click.echo(json.dumps(data, indent=2, sort_keys=True))
+def _echo_json(data, err: bool = False) -> None:
+    click.echo(json.dumps(data, indent=2, sort_keys=True), err=err)
 
 
 def _read_source(path: str) -> str:
@@ -185,10 +187,7 @@ def simulate_cmd(ctx, p0_path, p1_path, map_spec, seed, max_ticks, record_path):
     state = state_from_map_dict(_load_map(map_spec), seed=seed)
     record = play_match(p0, p1, state, max_ticks=max_ticks)
     if record_path:
-        Path(record_path).write_text(
-            json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        dump_json(Path(record_path), record.to_json())
     _echo_json(
         {
             "outcome": record.outcome,
@@ -242,15 +241,7 @@ def io_metric_cmd(reference, candidate, suite_dir, count, suite_seed,
         )
     except ExecFailure as exc:
         raise click.ClickException(str(exc)) from exc
-    _echo_json(
-        {
-            "value": report.value,
-            "total": report.total,
-            "matched": report.matched,
-            "mismatched": report.mismatched,
-            "failures": report.failures,
-        }
-    )
+    _echo_json(asdict(report))
 
 
 @main.command("obfuscate")
@@ -271,17 +262,9 @@ def obfuscate_cmd(source, level, verify, opponents):
         payload = {
             "equal": report.equal,
             "added_lines": added_lines(program, level),
-            "divergences": [
-                {
-                    "opponent": d.opponent,
-                    "kind": d.kind,
-                    "decision_index": d.decision_index,
-                    "detail": d.detail,
-                }
-                for d in report.divergences
-            ],
+            "divergences": [asdict(d) for d in report.divergences],
         }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True), err=True)
+        _echo_json(payload, err=True)
         if not report.equal:
             raise click.ClickException("obfuscation changed behavior")
 
@@ -340,13 +323,8 @@ def score_cmd(ctx, programs, opponents, provider_kind, provider_config, mock, q,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for run in runs:
-            (out / f"{run.program_id}.json").write_text(
-                json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        (out / "score.json").write_text(
-            json.dumps(score, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            dump_json(out / f"{run.program_id}.json", run.to_json())
+        dump_json(out / "score.json", score)
     _echo_json(score)
     if result.total_failure:
         raise click.ClickException("every program failed")
@@ -427,10 +405,7 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
             out.mkdir(parents=True, exist_ok=True)
             (out / "summary.md").write_text(table.markdown(), encoding="utf-8")
             (out / "summary.csv").write_text(table.csv(), encoding="utf-8")
-            (out / "summary.json").write_text(
-                json.dumps(table.to_json(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            dump_json(out / "summary.json", table.to_json())
         return
 
     with _experiment_errors():
@@ -450,10 +425,7 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
         result = run_experiment(cfg)
     click.echo(result.table.markdown(), nl=False)
     if result.errors:
-        click.echo(
-            json.dumps({"errors": result.errors}, indent=2, sort_keys=True),
-            err=True,
-        )
+        _echo_json({"errors": result.errors}, err=True)
     if result.total_failure:
         raise click.ClickException("every program failed")
 

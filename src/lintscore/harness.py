@@ -12,13 +12,13 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .metrics.baselines import closest_feature, closest_syntax, rand_index
 from .metrics.behavior import compare
 from .metrics.opponents import OpponentSet, standard_opponents
-from .microlang import Program, parse, print_program
+from .microlang import ParseError, Program, parse, print_program
 from .obfuscate import obfuscate
 from .pipeline import (
     LintRun,
@@ -82,23 +82,7 @@ class ExperimentConfig:
             raise ConfigError("obfuscation levels must be 1 or 2")
 
     def to_dict(self) -> dict:
-        return {
-            "programs": self.programs,
-            "opponents": self.opponents,
-            "pool_other": self.pool_other,
-            "provider": dict(self.provider),
-            "k": self.k,
-            "seed": self.seed,
-            "max_retries": self.max_retries,
-            "literal_min": self.literal_min,
-            "per_unit": self.per_unit,
-            "workers": self.workers,
-            "track": self.track,
-            "obfuscation_levels": list(self.obfuscation_levels),
-            "baselines": list(self.baselines),
-            "map_description": self.map_description,
-            "out": self.out,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -118,7 +102,10 @@ class ExperimentConfig:
 
 
 def load_program_set(spec: str) -> list[tuple[str, Program]]:
-    """Load a named bundled pool or a directory of ``.mrl`` files."""
+    """Load a named bundled pool or a directory of ``.mrl`` files.
+
+    A parse error names the file it comes from.
+    """
 
     if spec in _BUILTIN_POOLS:
         directory = data_path("policies", spec)
@@ -129,7 +116,15 @@ def load_program_set(spec: str) -> list[tuple[str, Program]]:
     sources = policy_sources(directory)
     if not sources:
         raise ConfigError(f"no .mrl programs found in {directory}")
-    return [(name, parse(text)) for name, text in sorted(sources.items())]
+    programs = []
+    for name, text in sorted(sources.items()):
+        try:
+            programs.append((name, parse(text)))
+        except ParseError as exc:
+            raise type(exc)(
+                f"{directory / name}.mrl: {exc.message}", exc.line, exc.col
+            ) from exc
+    return programs
 
 
 def load_opponent_set(spec: str) -> OpponentSet:
@@ -168,7 +163,7 @@ class Cell:
     ci: float
 
     def to_json(self) -> dict:
-        return {"mean": self.mean, "ci": self.ci}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -303,21 +298,23 @@ class ExperimentResult:
             "summary_csv": out / "summary.csv",
             "config": out / "config.json",
         }
-        _dump_json(paths["summary_json"], self.summary_json())
+        dump_json(paths["summary_json"], self.summary_json())
         paths["summary_md"].write_text(self.table.markdown(), encoding="utf-8")
         paths["summary_csv"].write_text(self.table.csv(), encoding="utf-8")
-        _dump_json(paths["config"], self.config.to_dict())
+        dump_json(paths["config"], self.config.to_dict())
         for condition, runs in sorted(self.runs.items()):
             run_dir = out / "runs" / condition
             run_dir.mkdir(parents=True, exist_ok=True)
             for run in runs:
-                _dump_json(run_dir / f"{run.program_id}.json", run.to_json())
+                dump_json(run_dir / f"{run.program_id}.json", run.to_json())
         if self.baseline_details:
-            _dump_json(out / "baselines.json", self.baseline_details)
+            dump_json(out / "baselines.json", self.baseline_details)
         return paths
 
 
-def _dump_json(path: Path, data) -> None:
+def dump_json(path: Path, data) -> None:
+    """Write ``data`` as the project's one JSON file format: 2-space indent,
+    sorted keys, a final newline, UTF-8."""
     path.write_text(
         json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -414,13 +411,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 selected, other = pool[pick_index]
                 report = compare(program, other, oset, per_unit=cfg.per_unit)
             details.append(
-                {
-                    "program_id": ident,
-                    "selected": selected,
-                    "action": report.action,
-                    "outcome": report.outcome,
-                    "feature": report.feature,
-                }
+                {"program_id": ident, "selected": selected, **report.as_dict()}
             )
             for metric in METRIC_COLUMNS:
                 metric_values[metric].append(getattr(report, metric))

@@ -10,7 +10,7 @@ All comparisons run against a fixed opponent set:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..microlang import Program
 from ..sim import MatchRecord, resolve_joint, restore_state
@@ -24,11 +24,7 @@ class BehaviorReport:
     feature: float
 
     def as_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "outcome": self.outcome,
-            "feature": self.feature,
-        }
+        return asdict(self)
 
 
 def decision_states(records: list[MatchRecord]) -> dict[tuple, dict]:
@@ -46,31 +42,21 @@ def decision_states(records: list[MatchRecord]) -> dict[tuple, dict]:
 
 
 def action_metric(
-    pi: Program,
-    other: Program,
-    oset: OpponentSet,
-    per_unit: bool = False,
-    *,
-    recs_pi: list[MatchRecord] | None = None,
-    recs_other: list[MatchRecord] | None = None,
+    pi: Program, other: Program, oset: OpponentSet, per_unit: bool = False
 ) -> float:
     """Fraction of π's decision states where both policies issue the same
     resolved joint assignment (``per_unit`` grades each unit separately).
 
     ``other`` is only replayed on π's states that its own matches never
     visited: where it did, its recorded assignment is the replay, because
-    evaluation is a pure function of the snapshot. ``recs_pi`` and
-    ``recs_other`` are the two policies' match records when the caller
-    already holds them.
+    evaluation is a pure function of the snapshot.
 
     A policy visiting no decision states has nothing to disagree on: 1.0.
     """
-    states = decision_states(oset.matches(pi) if recs_pi is None else recs_pi)
+    states = decision_states(oset.matches(pi))
     if not states:
         return 1.0
-    recorded = decision_states(
-        oset.matches(other) if recs_other is None else recs_other
-    )
+    recorded = decision_states(oset.matches(other))
     total = 0.0
     for snapshot, assigned in states.items():
         replayed = recorded.get(snapshot)
@@ -90,19 +76,9 @@ def action_metric(
     return total / len(states)
 
 
-def outcome_metric(
-    pi: Program,
-    other: Program,
-    oset: OpponentSet,
-    *,
-    recs_pi: list[MatchRecord] | None = None,
-    recs_other: list[MatchRecord] | None = None,
-) -> float:
+def outcome_metric(pi: Program, other: Program, oset: OpponentSet) -> float:
     """Fraction of opponents against which both policies end the same way."""
-    if recs_pi is None:
-        recs_pi = oset.matches(pi)
-    if recs_other is None:
-        recs_other = oset.matches(other)
+    recs_pi, recs_other = oset.matches(pi), oset.matches(other)
     return sum(
         1 for a, b in zip(recs_pi, recs_other) if a.outcome == b.outcome
     ) / len(recs_pi)
@@ -115,19 +91,9 @@ def feature_distance(left: tuple, right: tuple) -> float:
     ) / len(left)
 
 
-def feature_metric(
-    pi: Program,
-    other: Program,
-    oset: OpponentSet,
-    *,
-    recs_pi: list[MatchRecord] | None = None,
-    recs_other: list[MatchRecord] | None = None,
-) -> float:
+def feature_metric(pi: Program, other: Program, oset: OpponentSet) -> float:
     """Mean per-opponent feature distance; 0 for identical behavior."""
-    if recs_pi is None:
-        recs_pi = oset.matches(pi)
-    if recs_other is None:
-        recs_other = oset.matches(other)
+    recs_pi, recs_other = oset.matches(pi), oset.matches(other)
     return sum(
         feature_distance(a.features[0], b.features[0])
         for a, b in zip(recs_pi, recs_other)
@@ -148,9 +114,8 @@ def mean_feature_vector(pi: Program, oset: OpponentSet) -> tuple[float, ...]:
 def compare(
     pi: Program, other: Program, oset: OpponentSet, per_unit: bool = False
 ) -> BehaviorReport:
-    records = {"recs_pi": oset.matches(pi), "recs_other": oset.matches(other)}
     return BehaviorReport(
-        action=action_metric(pi, other, oset, per_unit=per_unit, **records),
-        outcome=outcome_metric(pi, other, oset, **records),
-        feature=feature_metric(pi, other, oset, **records),
+        action=action_metric(pi, other, oset, per_unit=per_unit),
+        outcome=outcome_metric(pi, other, oset),
+        feature=feature_metric(pi, other, oset),
     )

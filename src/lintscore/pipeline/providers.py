@@ -243,13 +243,9 @@ def make_provider(config: dict) -> Provider:
             timeout=float(config.get("timeout", 60.0)),
             api_key_env=config.get("api_key_env", "LINT_API_KEY"),
         )
-        cache_dir = config.get("cache")
-        if cache_dir:
-            provider = CachingProvider(provider, cache_dir)
-        return provider
-    if kind == "replay-cache":
+    elif kind == "replay-cache":
         return ReplayCacheProvider(config["directory"], model=config.get("model"))
-    if kind == "mock":
+    elif kind == "mock":
         name = config.get("mock", "echo")
         if name == "echo":
             provider = mocks.EchoProvider()
@@ -263,8 +259,9 @@ def make_provider(config: dict) -> Provider:
             provider = mocks.ScriptedProvider(config.get("responses", {}))
         else:
             raise ProviderError(f"unknown mock provider {name!r}")
-        cache_dir = config.get("cache")
-        if cache_dir:
-            provider = CachingProvider(provider, cache_dir)
-        return provider
-    raise ProviderError(f"unknown provider kind {kind!r}")
+    else:
+        raise ProviderError(f"unknown provider kind {kind!r}")
+    cache_dir = config.get("cache")
+    if cache_dir:
+        provider = CachingProvider(provider, cache_dir)
+    return provider

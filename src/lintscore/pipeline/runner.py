@@ -9,7 +9,7 @@ fail contributes the worst possible values rather than aborting the batch.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from ..metrics.behavior import BehaviorReport, compare
@@ -42,11 +42,7 @@ class Verdict:
     unparseable: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "accept": self.accept,
-            "rationale": self.rationale,
-            "unparseable": self.unparseable,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,14 +61,7 @@ class Trial:
         return self.source is None
 
     def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "source": self.source,
-            "action": self.action,
-            "outcome": self.outcome,
-            "feature": self.feature,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -89,16 +78,7 @@ class LintRun:
     provenance: dict
 
     def to_json(self) -> dict:
-        return {
-            "program_id": self.program_id,
-            "source": self.source,
-            "explanation": self.explanation,
-            "verdicts": [v.to_json() for v in self.verdicts],
-            "trials": [t.to_json() for t in self.trials],
-            "aggregated": dict(self.aggregated),
-            "error": self.error,
-            "provenance": dict(self.provenance),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

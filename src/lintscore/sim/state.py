@@ -1,11 +1,10 @@
 """Mutable game state, map loading, and state snapshots."""
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
-from .units import DEFAULT_STATS, RESOURCE, UnitStats
+from .units import DEFAULT_STATS, UnitStats
 
 Cell = tuple[int, int]
 
@@ -132,9 +131,6 @@ class GameState:
     def player_units(self, player: int) -> list[Unit]:
         return [u for u in self.units.values() if u.owner == player]
 
-    def resource_nodes(self) -> list[Unit]:
-        return [u for u in self.units.values() if u.kind == RESOURCE]
-
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> tuple:
@@ -147,10 +143,6 @@ class GameState:
             self.player_resources[1],
             tuple(self.units[uid].as_tuple() for uid in sorted(self.units)),
         )
-
-    def digest(self) -> str:
-        raw = repr(self.snapshot()).encode()
-        return hashlib.sha256(raw).hexdigest()[:16]
 
     def clone(self) -> "GameState":
         other = GameState(

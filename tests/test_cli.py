@@ -488,6 +488,15 @@ class TestScoreCmd:
         assert result.exit_code == 0
         assert {p.name: _sha256(p) for p in out.iterdir()} == SCORE_OUT_PINS
 
+    def test_parse_error_names_the_file(self, runner, tmp_path):
+        (tmp_path / "a.mrl").write_text(SIMPLE)
+        (tmp_path / "b.mrl").write_text("for(Unit u){\n    u.fly()\n}\n")
+        result = runner.invoke(
+            main, ["score", "--programs", str(tmp_path), "--k", "1"]
+        )
+        assert result.exit_code == 1
+        assert f"{tmp_path / 'b.mrl'}: unknown command 'fly'" in result.stderr
+
 
 class TestBaselineCmd:
     def test_rand_baseline(self, runner):

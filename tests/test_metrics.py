@@ -293,18 +293,8 @@ class TestCompare:
         assert set(report.as_dict()) == {"action", "outcome", "feature"}
         assert report.as_dict()["action"] == report.action
 
-    def test_fetches_each_side_once(self, tiered, empty_program, oset8, monkeypatch):
-        fetched = []
-        matches = OpponentSet.matches
-
-        def counting(oset, program):
-            fetched.append(program)
-            return matches(oset, program)
-
-        monkeypatch.setattr(OpponentSet, "matches", counting)
+    def test_equals_the_three_metrics(self, tiered, empty_program, oset8):
         report = compare(tiered, empty_program, oset8)
-        assert fetched == [tiered, empty_program]
-        monkeypatch.undo()
         assert report == BehaviorReport(
             action_metric(tiered, empty_program, oset8),
             outcome_metric(tiered, empty_program, oset8),

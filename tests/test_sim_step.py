@@ -232,7 +232,6 @@ class TestSnapshots:
         state.add_unit("Resource", None, 0, 0, resources=8)
         restored = restore_state(state.snapshot())
         assert restored.snapshot() == state.snapshot()
-        assert restored.digest() == state.digest()
         assert restored.next_uid == state.next_uid
 
     def test_clone_is_independent(self):
