@@ -25,6 +25,7 @@ from .harness import (
     dump_json,
     load_opponent_set,
     run_experiment,
+    write_summary,
 )
 from .metrics.behavior import compare
 from .metrics.io_compare import (
@@ -401,11 +402,7 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
         )
         click.echo(table.markdown(), nl=False)
         if out_dir:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "summary.md").write_text(table.markdown(), encoding="utf-8")
-            (out / "summary.csv").write_text(table.csv(), encoding="utf-8")
-            dump_json(out / "summary.json", table.to_json())
+            write_summary(out_dir, table, table.to_json())
         return
 
     with _experiment_errors():

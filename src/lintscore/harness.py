@@ -80,6 +80,11 @@ class ExperimentConfig:
             raise ConfigError("k must be >= 1")
         if any(level not in (1, 2) for level in self.obfuscation_levels):
             raise ConfigError("obfuscation levels must be 1 or 2")
+        if self.track != "microrts":
+            # The runner samples and scores Microlanguage policies only.
+            raise ConfigError(
+                f"track {self.track!r} cannot be scored; only 'microrts' can"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -291,16 +296,8 @@ class ExperimentResult:
         """
 
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "summary_json": out / "summary.json",
-            "summary_md": out / "summary.md",
-            "summary_csv": out / "summary.csv",
-            "config": out / "config.json",
-        }
-        dump_json(paths["summary_json"], self.summary_json())
-        paths["summary_md"].write_text(self.table.markdown(), encoding="utf-8")
-        paths["summary_csv"].write_text(self.table.csv(), encoding="utf-8")
+        paths = write_summary(out, self.table, self.summary_json())
+        paths["config"] = out / "config.json"
         dump_json(paths["config"], self.config.to_dict())
         for condition, runs in sorted(self.runs.items()):
             run_dir = out / "runs" / condition
@@ -310,6 +307,23 @@ class ExperimentResult:
         if self.baseline_details:
             dump_json(out / "baselines.json", self.baseline_details)
         return paths
+
+
+def write_summary(
+    out_dir: str | Path, table: SummaryTable, data: dict
+) -> dict[str, Path]:
+    """Write ``data`` as summary.json and ``table`` as summary.{md,csv}."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "summary_json": out / "summary.json",
+        "summary_md": out / "summary.md",
+        "summary_csv": out / "summary.csv",
+    }
+    dump_json(paths["summary_json"], data)
+    paths["summary_md"].write_text(table.markdown(), encoding="utf-8")
+    paths["summary_csv"].write_text(table.csv(), encoding="utf-8")
+    return paths
 
 
 def dump_json(path: Path, data) -> None:

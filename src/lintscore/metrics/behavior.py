@@ -114,8 +114,18 @@ def mean_feature_vector(pi: Program, oset: OpponentSet) -> tuple[float, ...]:
 def compare(
     pi: Program, other: Program, oset: OpponentSet, per_unit: bool = False
 ) -> BehaviorReport:
-    return BehaviorReport(
-        action=action_metric(pi, other, oset, per_unit=per_unit),
-        outcome=outcome_metric(pi, other, oset),
-        feature=feature_metric(pi, other, oset),
-    )
+    """The three measures of ``other`` against π.
+
+    The report is a pure function of both canonical texts and ``per_unit``,
+    so ``oset`` keeps it and a repeat pair is served without measuring.
+    Two threads that miss on one pair at once store the same value.
+    """
+    key = oset.pair_key(pi, other, per_unit)
+    report = oset.reports.get(key)
+    if report is None:
+        report = oset.reports[key] = BehaviorReport(
+            action=action_metric(pi, other, oset, per_unit=per_unit),
+            outcome=outcome_metric(pi, other, oset),
+            feature=feature_metric(pi, other, oset),
+        )
+    return report

@@ -5,10 +5,14 @@ import json
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..microlang import Program, parse, print_program
 from ..resources import data_path
 from ..sim import GameState, MatchRecord, play_match, state_from_map_dict
+
+if TYPE_CHECKING:
+    from .behavior import BehaviorReport
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,8 @@ class OpponentSet:
     Each new match against an opponent follows the distinct records already
     played against it for as long as it repeats one of them (see
     :func:`play_match`), so a shared match is simulated and stored once.
+    Behavior reports are kept the same way, per (π text, other text,
+    ``per_unit``), so :func:`~.behavior.compare` measures each pair once.
     """
 
     def __init__(
@@ -48,6 +54,8 @@ class OpponentSet:
         self._played: list[list[MatchRecord]] = [[] for _ in opponents]
         # id(program) -> its canonical text, dropped when the program is freed
         self._keys: dict[int, str] = {}
+        # pair_key(pi, other, per_unit) -> compare's report for that pair
+        self.reports: dict[tuple[str, str, bool], BehaviorReport] = {}
 
     def __len__(self) -> int:
         return len(self.opponents)
@@ -62,6 +70,11 @@ class OpponentSet:
             text = self._keys[key] = print_program(program)
             weakref.finalize(program, self._keys.pop, key, None)
         return text
+
+    def pair_key(
+        self, pi: Program, other: Program, per_unit: bool
+    ) -> tuple[str, str, bool]:
+        return (self._key_text(pi), self._key_text(other), per_unit)
 
     def matches(self, program: Program) -> list[MatchRecord]:
         """One record per opponent, evaluated policy playing as player 0."""

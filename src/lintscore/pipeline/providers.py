@@ -5,7 +5,8 @@ responses can be recorded once and replayed byte-for-byte.  Mock and replay
 providers are pure functions of (prompt, trial): two calls with the same
 arguments always return the same text.  A cache directory's
 ``manifest.json`` names the model its responses were recorded under, so a
-replay needs no model name of its own.
+replay needs no model name of its own, and the sampling temperature when the
+recording provider had one.
 """
 
 from __future__ import annotations
@@ -133,7 +134,9 @@ class ReplayCacheProvider(Provider):
 
     def __init__(self, directory: str | Path, model: str | None = None) -> None:
         self.directory = Path(directory)
-        self.model = model if model is not None else _recorded_model(self.directory)
+        if model is None:
+            model = _read_manifest(self.directory).get("model", "replay")
+        self.model = model
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.txt"
@@ -162,12 +165,22 @@ class CachingProvider(Provider):
 
     Reads are lock-free; writes go through a temp file and an atomic rename,
     so concurrent readers never observe partial responses.  The first write
-    into a directory without a manifest also records the model in one.
+    into a directory without a manifest also records the model in one, and
+    the inner provider's temperature when it has one.  ``cache_key`` does not
+    cover the temperature, so a directory whose manifest names another one is
+    refused with a :class:`ProviderError`.
     """
 
     def __init__(self, inner: Provider, directory: str | Path) -> None:
         self.inner = inner
         self.directory = Path(directory)
+        self.temperature = getattr(inner, "temperature", None)
+        recorded = _read_manifest(self.directory).get("temperature")
+        if recorded is not None and recorded != self.temperature:
+            raise ProviderError(
+                f"cache directory {self.directory} was recorded at temperature "
+                f"{recorded}, not {self.temperature}"
+            )
 
     @property
     def kind(self) -> str:  # type: ignore[override]
@@ -187,22 +200,25 @@ class CachingProvider(Provider):
         _atomic_write(path, response)
         manifest = self.directory / MANIFEST
         if not manifest.exists():
-            _atomic_write(manifest, json.dumps({"model": self.model}) + "\n")
+            entry = {"model": self.model}
+            if self.temperature is not None:
+                entry["temperature"] = self.temperature
+            _atomic_write(manifest, json.dumps(entry) + "\n")
         return response
 
 
-def _recorded_model(directory: Path) -> str:
-    """The model named by ``directory``'s manifest, or ``"replay"``."""
+def _read_manifest(directory: Path) -> dict:
+    """``directory``'s manifest, or ``{}`` when it has none."""
     path = directory / MANIFEST
     if not path.exists():
-        return "replay"
+        return {}
     try:
-        model = json.loads(path.read_text(encoding="utf-8"))["model"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ProviderError(f"unreadable cache manifest {path}: {exc}") from exc
-    if not isinstance(model, str):
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("model"), str):
         raise ProviderError(f"cache manifest {path} names no model")
-    return model
+    return manifest
 
 
 def _atomic_write(path: Path, text: str) -> None:

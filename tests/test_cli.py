@@ -436,6 +436,31 @@ class TestScoreCmd:
         assert result.exit_code == 2
         assert "manifest" in result.output
 
+    def test_cache_at_other_temperature_exits_two(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "manifest.json").write_text(
+            '{"model": "m", "temperature": 0.7}\n'
+        )
+        config = tmp_path / "provider.json"
+        config.write_text(
+            json.dumps(
+                {"endpoint": "http://127.0.0.1:1/", "model": "m", "temperature": 0.2}
+            )
+        )
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + [
+                "--provider", "http",
+                "--provider-config", str(config),
+                "--cache-dir", str(cache),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "temperature 0.7" in result.output
+        assert list(cache.iterdir()) == [cache / "manifest.json"]
+
     def test_replay_reads_model_from_cache_manifest(self, runner, tmp_path):
         cache = tmp_path / "cache"
         recorded = runner.invoke(
@@ -616,6 +641,26 @@ class TestReportCmd:
         rerendered = json.loads((out_b / "summary.json").read_text())
         assert rerendered == full["table"]
 
+    def test_rerendered_md_and_csv_equal_the_run_files(
+        self, runner, config_file, tmp_path
+    ):
+        runner.invoke(
+            main, ["report", "--config", config_file, "--out", str(tmp_path / "a")]
+        )
+        result = runner.invoke(
+            main,
+            [
+                "report",
+                "--summary", str(tmp_path / "a" / "summary.json"),
+                "--out", str(tmp_path / "b"),
+            ],
+        )
+        assert result.exit_code == 0
+        for name in ("summary.md", "summary.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (
+                tmp_path / "a" / name
+            ).read_bytes()
+
     def test_requires_exactly_one_source(self, runner, config_file, tmp_path):
         neither = runner.invoke(main, ["report"])
         assert neither.exit_code == 2
@@ -673,6 +718,23 @@ class TestReportCmd:
         result = runner.invoke(main, ["report", "--config", str(path)])
         assert result.exit_code == 2
         assert "telepathy" in result.output
+
+    def test_unscorable_track_exits_two(self, runner, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "programs": "pool8",
+                    "opponents": "standard-8",
+                    "track": "c-problems",
+                    "baselines": [],
+                }
+            )
+        )
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "c-problems" in result.output
+        assert "| LINT |" not in result.output
 
 
 class TestGlobalOptions:

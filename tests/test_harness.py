@@ -68,6 +68,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown baselines"):
             ExperimentConfig(baselines=["rand", "psychic"])
 
+    @pytest.mark.parametrize("track", ["c-problems", "python"])
+    def test_unscorable_track_rejected(self, track):
+        with pytest.raises(ConfigError, match=f"track '{track}'"):
+            ExperimentConfig(track=track)
+
     def test_bad_k_rejected(self):
         with pytest.raises(ConfigError, match="k must be"):
             ExperimentConfig(k=0)

@@ -4,6 +4,10 @@ Several tests run tiny hand-built duels where every outcome can be derived
 from the movement/attack rules by hand; the frozen pool-8 values are oracle
 constants from the deterministic simulator.
 """
+import random
+import sys
+import threading
+
 import pytest
 
 from lintscore.metrics import (
@@ -20,9 +24,10 @@ from lintscore.metrics import (
     standard_opponents,
     validate_opponents,
 )
+from lintscore.metrics import behavior
 from lintscore.metrics.opponents import Opponent
 from lintscore.microlang import parse
-from lintscore.resources import data_path
+from lintscore.resources import data_path, policy_sources
 from lintscore.sim import resolve_joint, restore_state
 
 ATTACK_ALL = "for(Unit u){ u.attack(Closest) }"
@@ -300,6 +305,122 @@ class TestCompare:
             outcome_metric(tiered, empty_program, oset8),
             feature_metric(tiered, empty_program, oset8),
         )
+
+
+def _three_metrics(pi, other, oset, per_unit):
+    """The report ``compare`` must give, from the functions it memoizes."""
+    return BehaviorReport(
+        action_metric(pi, other, oset, per_unit=per_unit),
+        outcome_metric(pi, other, oset),
+        feature_metric(pi, other, oset),
+    )
+
+
+def _reparsed(name):
+    return [parse(text) for _, text in sorted(policy_sources(name).items())]
+
+
+class TestCompareMemo:
+    """``compare`` keeps one report per (π text, other text, per_unit) in
+    its opponent set; each case starts from a set with an empty memo."""
+
+    @pytest.fixture()
+    def oset(self):
+        return OpponentSet.from_file(data_path("opponents8.json"))
+
+    def test_equals_the_three_metrics_on_pool8(self, pool8, oset):
+        programs = [program for _, program in pool8]
+        copies = _reparsed("pool8")
+        for i, pi in enumerate(programs):
+            for j in range(i, len(programs)):
+                other = programs[j]
+                for per_unit in (False, True):
+                    # Both call orders, each checked against its own reference.
+                    forward = compare(pi, other, oset, per_unit)
+                    backward = compare(other, pi, oset, per_unit)
+                    assert forward == _three_metrics(pi, other, oset, per_unit)
+                    assert backward == _three_metrics(other, pi, oset, per_unit)
+                    assert compare(copies[i], copies[j], oset, per_unit) == forward
+                    assert compare(copies[j], copies[i], oset, per_unit) == backward
+        assert len(oset.reports) == 2 * len(programs) ** 2
+
+    def test_repeat_on_reparsed_copies_replays_nothing(
+        self, pool8, oset, monkeypatch
+    ):
+        calls = []
+        real = behavior.resolve_joint
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(behavior, "resolve_joint", counting)
+        pairs = [(pi, other) for _, pi in pool8 for _, other in pool8]
+        for pi, other in pairs:
+            compare(pi, other, oset, per_unit=True)
+        assert calls
+        copies = _reparsed("pool8")
+        calls.clear()
+        for pi in copies:
+            for other in copies:
+                compare(pi, other, oset, per_unit=True)
+        assert calls == []
+
+    def test_per_unit_reports_kept_apart(self, pool8, oset):
+        pi, other = next(
+            (pi, other)
+            for _, pi in pool8
+            for _, other in pool8
+            if _three_metrics(pi, other, oset, False)
+            != _three_metrics(pi, other, oset, True)
+        )
+        joint = compare(pi, other, oset, per_unit=False)
+        graded = compare(pi, other, oset, per_unit=True)
+        assert joint != graded
+        assert compare(pi, other, oset, per_unit=False) is joint
+        assert compare(pi, other, oset, per_unit=True) is graded
+        assert joint == _three_metrics(pi, other, oset, False)
+        assert graded == _three_metrics(pi, other, oset, True)
+
+
+    def test_threads_sharing_the_memo_agree_with_serial(self, pool8, oset):
+        """More threads than cores, switching often, fill one memo: every
+        report equals the serial reference and each pair is stored once."""
+        programs = [program for _, program in pool8[:4]]
+        keys = [
+            (i, j, per_unit)
+            for i in range(len(programs))
+            for j in range(len(programs))
+            for per_unit in (False, True)
+        ]
+        serial = OpponentSet.from_file(data_path("opponents8.json"))
+        expected = {
+            (i, j, u): _three_metrics(programs[i], programs[j], serial, u)
+            for i, j, u in keys
+        }
+        seen = {}
+
+        def work(seed):
+            order = keys[:]
+            random.Random(seed).shuffle(order)
+            for i, j, u in order:
+                seen[seed, i, j, u] = compare(programs[i], programs[j], oset, u)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 6 * len(keys)
+        for (_, i, j, u), report in seen.items():
+            assert report == expected[i, j, u]
+        assert len(oset.reports) == len(keys)
 
 
 class TestOpponentSet:

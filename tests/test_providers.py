@@ -179,6 +179,62 @@ class TestCachingProvider:
         with pytest.raises(ProviderError, match="manifest"):
             ReplayCacheProvider(tmp_path)
 
+    def test_first_write_records_the_temperature(self, tmp_path):
+        inner = _CountingProvider()
+        inner.temperature = 0.7
+        CachingProvider(inner, tmp_path).complete(PromptRequest("r", "p"))
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {
+            "model": "counting",
+            "temperature": 0.7,
+        }
+
+    def test_mock_manifest_names_no_temperature(self, tmp_path):
+        CachingProvider(EchoProvider(), tmp_path).complete(
+            PromptRequest("explainer", "p", program_source="x")
+        )
+        assert (tmp_path / "manifest.json").read_bytes() == (
+            b'{"model": "mock-echo"}\n'
+        )
+
+    def test_other_temperature_is_refused(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(
+            '{"model": "counting", "temperature": 0.7}\n'
+        )
+        inner = _CountingProvider()
+        inner.temperature = 0.2
+        with pytest.raises(ProviderError, match="temperature 0.7"):
+            CachingProvider(inner, tmp_path)
+        assert inner.calls == 0
+
+    def test_other_temperature_is_refused_by_make_provider(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(
+            '{"model": "m", "temperature": 0.7}\n'
+        )
+        config = {
+            "kind": "http",
+            "endpoint": "http://127.0.0.1:1/",
+            "model": "m",
+            "temperature": 0.2,
+            "cache": str(tmp_path),
+        }
+        with pytest.raises(ProviderError, match="temperature"):
+            make_provider(config)
+        config["temperature"] = 0.7
+        assert make_provider(config).temperature == 0.7
+
+    def test_same_temperature_and_unnamed_temperature_accepted(self, tmp_path):
+        inner = _CountingProvider()
+        inner.temperature = 0.7
+        manifest = tmp_path / "manifest.json"
+        for text in (
+            '{"model": "counting", "temperature": 0.7}\n',
+            '{"model": "counting"}\n',
+        ):
+            manifest.write_text(text)
+            provider = CachingProvider(inner, tmp_path)
+            assert provider.complete(PromptRequest("r", "p")) == "counted answer"
+            assert manifest.read_text() == text
+
     def test_unicode_round_trip(self, tmp_path):
         inner = _CountingProvider(answer="héllo → wörld\n")
         provider = CachingProvider(inner, tmp_path)
