@@ -117,12 +117,12 @@ def _provider_config(
         if not cache_dir:
             raise click.UsageError("--provider replay requires --cache-dir")
         config = {"kind": "replay-cache", "directory": cache_dir}
-        # responses are cached under the recording model's name, which the
-        # cache's manifest supplies when no provider config names it
+        # the cache's manifest supplies what the provider config leaves out
         if provider_config:
-            model = _read_provider_config(provider_config).get("model")
-            if model is not None:
-                config["model"] = model
+            settings = _read_provider_config(provider_config)
+            config.update(
+                model=settings.get("model"), temperature=settings.get("temperature")
+            )
         return config
     if kind == "http":
         if not provider_config:
@@ -279,8 +279,9 @@ def obfuscate_cmd(source, level, verify, opponents):
               help="Provider kind [default: mock, or the global --provider].")
 @click.option("--provider-config", type=click.Path(), default=None,
               help="JSON with endpoint/model/temperature for --provider http; "
-                   "--provider replay reads its model (default: the model "
-                   "recorded in the cache directory's manifest).")
+                   "--provider replay reads its model and temperature (default: "
+                   "those in the cache directory's manifest) and refuses a "
+                   "temperature other than the recorded one.")
 @click.option("--mock", default="echo", show_default=True,
               type=click.Choice(["echo", "empty", "line-drop"]))
 @click.option("--q", type=float, default=0.0, show_default=True,

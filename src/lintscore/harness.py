@@ -12,8 +12,10 @@ import json
 import math
 import random
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .metrics.baselines import closest_feature, closest_syntax, rand_index
 from .metrics.behavior import compare
@@ -73,6 +75,14 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, hints[f.name]):
+                raise ConfigError(
+                    f"config field {f.name!r} must be {f.type}, "
+                    f"not {type(value).__name__}"
+                )
         unknown = [b for b in self.baselines if b not in BASELINE_KEYS]
         if unknown:
             raise ConfigError(f"unknown baselines: {unknown}")
@@ -91,6 +101,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config is not a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -104,6 +116,18 @@ class ExperimentConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the annotated type; a bool is not an int."""
+    if get_origin(hint) is UnionType:
+        return any(_fits(value, option) for option in get_args(hint))
+    origin = get_origin(hint) or hint
+    if not isinstance(value, origin) or (
+        isinstance(value, bool) and origin is not bool
+    ):
+        return False
+    return origin is not list or all(_fits(v, get_args(hint)[0]) for v in value)
 
 
 def load_program_set(spec: str) -> list[tuple[str, Program]]:

@@ -10,25 +10,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..resources import data_path
-
-TRACKS = ("microrts", "c-problems")
-
-_TRACK_PREFIX = {"microrts": "microrts", "c-problems": "c"}
 
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """The prompt templates for one program track."""
+    """The prompt templates for Microlanguage policies."""
 
-    track: str
     dsl_description: str
     explainer_template: str
     reconstructor_template: str
     verifier_template: str
-    kshot_template: str | None = None
+    kshot_template: str
 
     def render_explainer(self, program_source: str) -> str:
         return _render(
@@ -53,8 +47,6 @@ class PromptBundle:
         )
 
     def render_kshot(self, map_description: str) -> str:
-        if self.kshot_template is None:
-            raise ValueError(f"track {self.track!r} has no k-shot template")
         return _render(
             self.kshot_template,
             dsl_description=self.dsl_description,
@@ -77,38 +69,32 @@ def _render(
     return rendered
 
 
-def load_bundle(track: str = "microrts", directory: Path | None = None) -> PromptBundle:
-    """Load the prompt bundle for ``track`` from ``directory``.
+def load_bundle(track: str = "microrts") -> PromptBundle:
+    """Load the prompt templates shipped with the package.
 
-    ``directory`` defaults to the templates shipped with the package.
+    ``microrts`` is the only track: the runner scores Microlanguage policies.
     """
 
-    if track not in TRACKS:
-        raise ValueError(f"unknown track {track!r}; expected one of {TRACKS}")
-    root = directory if directory is not None else data_path("prompts")
-    prefix = _TRACK_PREFIX[track]
+    if track != "microrts":
+        raise ValueError(f"unknown track {track!r}; only 'microrts' has prompts")
+    root = data_path("prompts")
 
-    def read(name: str) -> str:
-        return (root / name).read_text(encoding="utf-8")
+    def read(role: str) -> str:
+        return (root / f"microrts_{role}.txt").read_text(encoding="utf-8")
 
-    kshot_path = root / f"{prefix}_kshot.txt"
     return PromptBundle(
-        track=track,
-        dsl_description=read(f"{prefix}_dsl.txt"),
-        explainer_template=read(f"{prefix}_explainer.txt"),
-        reconstructor_template=read(f"{prefix}_reconstructor.txt"),
-        verifier_template=read(f"{prefix}_verifier.txt"),
-        kshot_template=(
-            kshot_path.read_text(encoding="utf-8") if kshot_path.exists() else None
-        ),
+        dsl_description=read("dsl"),
+        explainer_template=read("explainer"),
+        reconstructor_template=read("reconstructor"),
+        verifier_template=read("verifier"),
+        kshot_template=read("kshot"),
     )
 
 
-def load_map_description(map_name: str, directory: Path | None = None) -> str:
+def load_map_description(map_name: str) -> str:
     """Load the natural-language description of a bundled map."""
 
-    root = directory if directory is not None else data_path("prompts")
-    return (root / f"map_{map_name}.txt").read_text(encoding="utf-8")
+    return data_path("prompts", f"map_{map_name}.txt").read_text(encoding="utf-8")
 
 
 def extract_tag(text: str, tag: str) -> str | None:

@@ -1,12 +1,12 @@
-"""Language-model providers: live HTTP, deterministic replay, and caching.
+"""Language-model providers: live HTTP, mocks, and one response cache.
 
 Every completion is addressed by ``cache_key(model, prompt, trial)`` so that
 responses can be recorded once and replayed byte-for-byte.  Mock and replay
-providers are pure functions of (prompt, trial): two calls with the same
-arguments always return the same text.  A cache directory's
-``manifest.json`` names the model its responses were recorded under, so a
-replay needs no model name of its own, and the sampling temperature when the
-recording provider had one.
+providers are pure functions of (prompt, trial).  :class:`CachingProvider`
+alone reads and writes a cache directory: it records around a live or mock
+provider and, with none, replays.  A replay takes the model and temperature
+it is not given from the directory's ``manifest.json``, and no cache accepts
+a temperature other than the recorded one.
 """
 
 from __future__ import annotations
@@ -60,15 +60,10 @@ class Provider:
 
     kind: str = "base"
     model: str = "unknown"
+    temperature: float | None = None
 
     def complete(self, request: PromptRequest) -> str:
         raise NotImplementedError
-
-    @property
-    def deterministic(self) -> bool:
-        """True when outputs are a pure function of (prompt, trial)."""
-
-        return self.kind in ("mock", "replay-cache")
 
 
 class HttpProvider(Provider):
@@ -121,80 +116,58 @@ class HttpProvider(Provider):
             raise ProviderError(f"malformed provider response: {exc}") from exc
 
 
-class ReplayCacheProvider(Provider):
-    """Serves completions from a directory of recorded responses.
-
-    A missing recording is an error: replay runs must be fully deterministic,
-    so there is no fallback to a live provider.  Without a ``model`` the
-    recording model is read from the directory's manifest, and ``"replay"``
-    is used when there is none.
-    """
-
-    kind = "replay-cache"
-
-    def __init__(self, directory: str | Path, model: str | None = None) -> None:
-        self.directory = Path(directory)
-        if model is None:
-            model = _read_manifest(self.directory).get("model", "replay")
-        self.model = model
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.txt"
-
-    def complete(self, request: PromptRequest) -> str:
-        key = cache_key(self.model, request.prompt, request.trial)
-        path = self._path(key)
-        if not path.exists():
-            raise ProviderError(
-                f"replay cache miss for role={request.role} trial={request.trial} "
-                f"key={key}"
-            )
-        return path.read_text(encoding="utf-8")
-
-    def seed(self, prompt: str, trial: int, response: str) -> str:
-        """Record ``response`` for (prompt, trial); returns the cache key."""
-
-        key = cache_key(self.model, prompt, trial)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self._path(key), response)
-        return key
-
-
 class CachingProvider(Provider):
-    """Write-through cache around another provider.
+    """The response cache: one ``{cache_key}.txt`` file per completion.
 
-    Reads are lock-free; writes go through a temp file and an atomic rename,
-    so concurrent readers never observe partial responses.  The first write
-    into a directory without a manifest also records the model in one, and
-    the inner provider's temperature when it has one.  ``cache_key`` does not
-    cover the temperature, so a directory whose manifest names another one is
-    refused with a :class:`ProviderError`.
+    With an ``inner`` provider a miss is completed by it and written through;
+    with none (:class:`ReplayCacheProvider`) a miss is an error.  Writes go
+    through a temp file and an atomic rename, so lock-free readers never see
+    partial responses.  The first write into a directory without a manifest
+    records the model and, when there is one, the temperature in one.
+
+    A recording takes its model and temperature from ``inner``, a replay
+    those it is not given from the manifest.  ``cache_key`` does not cover
+    the temperature, so a manifest naming another one is refused.
     """
 
-    def __init__(self, inner: Provider, directory: str | Path) -> None:
+    def __init__(
+        self,
+        directory: str | Path,
+        inner: Provider | None = None,
+        model: str | None = None,
+        temperature: float | None = None,
+    ) -> None:
         self.inner = inner
         self.directory = Path(directory)
-        self.temperature = getattr(inner, "temperature", None)
-        recorded = _read_manifest(self.directory).get("temperature")
-        if recorded is not None and recorded != self.temperature:
+        manifest = _read_manifest(self.directory)
+        recorded = manifest.get("temperature")
+        if inner is not None:
+            model, temperature = inner.model, inner.temperature
+        else:
+            model = manifest.get("model", "replay") if model is None else model
+            temperature = recorded if temperature is None else temperature
+        if recorded is not None and recorded != temperature:
             raise ProviderError(
                 f"cache directory {self.directory} was recorded at temperature "
-                f"{recorded}, not {self.temperature}"
+                f"{recorded}, not {temperature}"
             )
+        self.model = model
+        self.temperature = temperature
 
     @property
     def kind(self) -> str:  # type: ignore[override]
         return self.inner.kind
-
-    @property
-    def model(self) -> str:  # type: ignore[override]
-        return self.inner.model
 
     def complete(self, request: PromptRequest) -> str:
         key = cache_key(self.model, request.prompt, request.trial)
         path = self.directory / f"{key}.txt"
         if path.exists():
             return path.read_text(encoding="utf-8")
+        if self.inner is None:
+            raise ProviderError(
+                f"replay cache miss for role={request.role} trial={request.trial} "
+                f"key={key}"
+            )
         response = self.inner.complete(request)
         self.directory.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, response)
@@ -205,6 +178,12 @@ class CachingProvider(Provider):
                 entry["temperature"] = self.temperature
             _atomic_write(manifest, json.dumps(entry) + "\n")
         return response
+
+
+class ReplayCacheProvider(CachingProvider):
+    """A response cache with no inner provider, for deterministic replays."""
+
+    kind = "replay-cache"
 
 
 def _read_manifest(directory: Path) -> dict:
@@ -243,7 +222,7 @@ def make_provider(config: dict) -> Provider:
         {"kind": "http", "endpoint": ..., "model": ..., "temperature": 0.0,
          "timeout": 60, "api_key_env": "LINT_API_KEY", "cache": "runs/cache"}
         {"kind": "replay-cache", "directory": "runs/cache",
-         "model": <optional, default from the cache manifest>}
+         "model": <optional>, "temperature": <optional>}
         {"kind": "mock", "mock": "echo" | "empty" | "line-drop" | "scripted",
          "q": 0.2, "seed": 7, "responses": {...}}
     """
@@ -260,7 +239,12 @@ def make_provider(config: dict) -> Provider:
             api_key_env=config.get("api_key_env", "LINT_API_KEY"),
         )
     elif kind == "replay-cache":
-        return ReplayCacheProvider(config["directory"], model=config.get("model"))
+        temperature = config.get("temperature")
+        return ReplayCacheProvider(
+            config["directory"],
+            model=config.get("model"),
+            temperature=None if temperature is None else float(temperature),
+        )
     elif kind == "mock":
         name = config.get("mock", "echo")
         if name == "echo":
@@ -268,9 +252,12 @@ def make_provider(config: dict) -> Provider:
         elif name == "empty":
             provider = mocks.EmptyProvider()
         elif name == "line-drop":
-            provider = mocks.LineDropProvider(
-                q=float(config.get("q", 0.0)), seed=int(config.get("seed", 0))
-            )
+            try:
+                provider = mocks.LineDropProvider(
+                    q=float(config.get("q", 0.0)), seed=int(config.get("seed", 0))
+                )
+            except (TypeError, ValueError) as exc:
+                raise ProviderError(f"line-drop mock: {exc}") from exc
         elif name == "scripted":
             provider = mocks.ScriptedProvider(config.get("responses", {}))
         else:
@@ -279,5 +266,5 @@ def make_provider(config: dict) -> Provider:
         raise ProviderError(f"unknown provider kind {kind!r}")
     cache_dir = config.get("cache")
     if cache_dir:
-        provider = CachingProvider(provider, cache_dir)
+        provider = CachingProvider(cache_dir, provider)
     return provider

@@ -461,6 +461,38 @@ class TestScoreCmd:
         assert "temperature 0.7" in result.output
         assert list(cache.iterdir()) == [cache / "manifest.json"]
 
+    def test_replay_at_other_temperature_exits_two(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        recorded = runner.invoke(
+            main, self.SCORE_ARGS + ["--cache-dir", str(cache)]
+        )
+        assert recorded.exit_code == 0
+        # as if the echo responses had been recorded at temperature 0.7
+        (cache / "manifest.json").write_text(
+            '{"model": "mock-echo", "temperature": 0.7}\n'
+        )
+        replay = ["--provider", "replay", "--cache-dir", str(cache)]
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps({"model": "mock-echo", "temperature": 0.2}))
+        refused = runner.invoke(
+            main,
+            self.SCORE_ARGS + replay + ["--provider-config", str(config)],
+        )
+        assert refused.exit_code == 2
+        assert "temperature 0.7, not 0.2" in refused.output
+        # without a provider config the manifest supplies model and temperature
+        replayed = runner.invoke(main, self.SCORE_ARGS + replay)
+        assert replayed.exit_code == 0
+        assert json.loads(replayed.output) == json.loads(recorded.output)
+
+    @pytest.mark.parametrize("q", ["1.5", "-0.5"])
+    def test_line_drop_q_out_of_range_exits_two(self, runner, q):
+        result = runner.invoke(
+            main, self.SCORE_ARGS + ["--mock", "line-drop", "--q", q]
+        )
+        assert result.exit_code == 2
+        assert "q must be in [0, 1]" in result.output
+
     def test_replay_reads_model_from_cache_manifest(self, runner, tmp_path):
         cache = tmp_path / "cache"
         recorded = runner.invoke(
@@ -718,6 +750,52 @@ class TestReportCmd:
         result = runner.invoke(main, ["report", "--config", str(path)])
         assert result.exit_code == 2
         assert "telepathy" in result.output
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", "2"),
+            ("k", True),
+            ("obfuscation_levels", 1),
+            ("obfuscation_levels", [True]),
+            ("literal_min", 1),
+            ("programs", 8),
+            ("baselines", "rand"),
+            ("provider", ["mock"]),
+            ("map_description", 3),
+        ],
+    )
+    def test_mistyped_field_exits_two(self, runner, tmp_path, field, value):
+        path = tmp_path / "typed.json"
+        config = {"programs": "pool8", "opponents": "standard-8", "baselines": []}
+        config[field] = value
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2
+        assert f"config field {field!r} must be" in result.output
+
+    def test_line_drop_q_out_of_range_exits_two(self, runner, tmp_path):
+        path = tmp_path / "drop.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "programs": "pool8",
+                    "opponents": "standard-8",
+                    "provider": {"kind": "mock", "mock": "line-drop", "q": 1.5},
+                    "baselines": [],
+                }
+            )
+        )
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "q must be in [0, 1], got 1.5" in result.output
+
+    def test_non_object_config_exits_two(self, runner, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "not a JSON object" in result.output
 
     def test_unscorable_track_exits_two(self, runner, tmp_path):
         path = tmp_path / "c.json"

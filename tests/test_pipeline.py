@@ -374,7 +374,7 @@ class TestScoreProgram:
         json.dumps(payload)  # must be serializable as-is
 
     def test_replay_cache_reproduces_run(self, bundle, tiered, oset8, tmp_path):
-        recording = CachingProvider(EchoProvider(), tmp_path / "cache")
+        recording = CachingProvider(tmp_path / "cache", EchoProvider())
         original = score_program(
             tiered, "tiered", oset8, bundle, recording, k=2
         )

@@ -2,22 +2,18 @@
 import pytest
 
 from lintscore.pipeline import extract_tag, load_bundle, load_map_description
-from lintscore.pipeline.prompts import TRACKS
 
 PROGRAM = "for(Unit u){\n    u.train(Worker,Up,2)\n    u.attack(Closest)\n}"
 
 
 class TestLoadBundle:
-    def test_tracks(self):
-        assert TRACKS == ("microrts", "c-problems")
-
     def test_default_track_is_microrts(self, bundle):
-        assert load_bundle().track == "microrts"
-        assert bundle.track == "microrts"
+        assert load_bundle() == bundle == load_bundle("microrts")
 
     def test_unknown_track_rejected(self):
-        with pytest.raises(ValueError, match="unknown track"):
-            load_bundle("java")
+        for track in ("java", "c-problems"):
+            with pytest.raises(ValueError, match="unknown track"):
+                load_bundle(track)
 
     def test_microrts_bundle_complete(self, bundle):
         assert bundle.dsl_description
@@ -25,23 +21,7 @@ class TestLoadBundle:
         assert "{EXPLANATION}" in bundle.reconstructor_template
         assert "{PROGRAM}" in bundle.verifier_template
         assert "{EXPLANATION}" in bundle.verifier_template
-        assert bundle.kshot_template is not None
         assert "{MAP_DESCRIPTION}" in bundle.kshot_template
-
-    def test_c_bundle_has_no_kshot(self):
-        c_bundle = load_bundle("c-problems")
-        assert c_bundle.track == "c-problems"
-        assert c_bundle.kshot_template is None
-        assert "{PROGRAM}" in c_bundle.explainer_template
-
-    def test_custom_directory(self, tmp_path):
-        for name in ("dsl", "explainer", "reconstructor", "verifier"):
-            (tmp_path / f"microrts_{name}.txt").write_text(f"[{name}]\n")
-        loaded = load_bundle("microrts", directory=tmp_path)
-        assert loaded.dsl_description == "[dsl]\n"
-        assert loaded.kshot_template is None
-        with pytest.raises(ValueError, match="no k-shot template"):
-            loaded.render_kshot("a map")
 
 
 class TestRendering:
@@ -100,10 +80,6 @@ class TestMapDescriptions:
 
     def test_sixteen_description_mentions_grid(self):
         assert "16 by 16" in load_map_description("BaseWorkers-16x16A")
-
-    def test_custom_directory(self, tmp_path):
-        (tmp_path / "map_tiny.txt").write_text("A 2 by 2 arena.\n")
-        assert load_map_description("tiny", directory=tmp_path) == "A 2 by 2 arena.\n"
 
     def test_missing_map_raises(self):
         with pytest.raises(FileNotFoundError):

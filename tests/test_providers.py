@@ -57,29 +57,12 @@ class TestPromptRequest:
             request.trial = 1
 
 
-class TestDeterministicFlag:
-    def test_mocks_are_deterministic(self):
-        assert EchoProvider().deterministic
-        assert EmptyProvider().deterministic
-        assert LineDropProvider(0.5, seed=1).deterministic
-        assert ScriptedProvider({}).deterministic
-
-    def test_http_is_not(self):
-        assert not HttpProvider("http://127.0.0.1:1/", "m").deterministic
-
-    def test_replay_is_deterministic(self, tmp_path):
-        assert ReplayCacheProvider(tmp_path).deterministic
-
-    def test_caching_wrapper_delegates(self, tmp_path):
-        wrapped_mock = CachingProvider(EchoProvider(), tmp_path)
-        assert wrapped_mock.kind == "mock"
-        assert wrapped_mock.model == "mock-echo"
-        assert wrapped_mock.deterministic
-        wrapped_http = CachingProvider(
-            HttpProvider("http://127.0.0.1:1/", "m"), tmp_path
-        )
-        assert wrapped_http.kind == "http"
-        assert not wrapped_http.deterministic
+def _record(directory, model, prompt, trial, response):
+    """Write one cache file the way a recording does; returns its key."""
+    key = cache_key(model, prompt, trial)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{key}.txt").write_text(response, encoding="utf-8")
+    return key
 
 
 class TestReplayCacheProvider:
@@ -92,26 +75,65 @@ class TestReplayCacheProvider:
             provider.complete(request)
 
     def test_seed_then_hit(self, tmp_path):
+        key = _record(tmp_path / "fresh", "replay", "the prompt", 1, "the answer\n")
         provider = ReplayCacheProvider(tmp_path / "fresh")
-        key = provider.seed("the prompt", 1, "the answer\n")
-        assert key == cache_key("replay", "the prompt", 1)
-        assert (tmp_path / "fresh" / f"{key}.txt").read_text() == "the answer\n"
+        assert provider.model == "replay"
         assert (
             provider.complete(PromptRequest("any", "the prompt", trial=1))
             == "the answer\n"
         )
+        assert list((tmp_path / "fresh").iterdir()) == [
+            tmp_path / "fresh" / f"{key}.txt"
+        ]
 
     def test_trials_are_distinct_recordings(self, tmp_path):
+        _record(tmp_path, "replay", "p", 0, "zero")
+        _record(tmp_path, "replay", "p", 1, "one")
         provider = ReplayCacheProvider(tmp_path)
-        provider.seed("p", 0, "zero")
-        provider.seed("p", 1, "one")
         assert provider.complete(PromptRequest("r", "p", trial=0)) == "zero"
         assert provider.complete(PromptRequest("r", "p", trial=1)) == "one"
 
     def test_custom_model_changes_keys(self, tmp_path):
-        provider = ReplayCacheProvider(tmp_path, model="mock-echo")
-        key = provider.seed("p", 0, "x")
-        assert key == cache_key("mock-echo", "p", 0)
+        _record(tmp_path, "mock-echo", "p", 0, "x")
+        assert ReplayCacheProvider(tmp_path, model="mock-echo").complete(
+            PromptRequest("r", "p")
+        ) == "x"
+        with pytest.raises(ProviderError, match="replay cache miss"):
+            ReplayCacheProvider(tmp_path).complete(PromptRequest("r", "p"))
+
+    def test_is_a_cache_without_inner_provider(self, tmp_path):
+        provider = ReplayCacheProvider(tmp_path)
+        assert isinstance(provider, CachingProvider)
+        assert provider.inner is None
+        assert provider.kind == "replay-cache"
+        assert "complete" not in vars(ReplayCacheProvider)
+
+    def test_takes_model_and_temperature_from_manifest(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(
+            '{"model": "m", "temperature": 0.7}\n'
+        )
+        _record(tmp_path, "m", "p", 0, "recorded")
+        provider = ReplayCacheProvider(tmp_path)
+        assert (provider.model, provider.temperature) == ("m", 0.7)
+        assert provider.complete(PromptRequest("r", "p")) == "recorded"
+        assert ReplayCacheProvider(tmp_path, temperature=0.7).temperature == 0.7
+
+    def test_other_temperature_is_refused(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(
+            '{"model": "m", "temperature": 0.7}\n'
+        )
+        with pytest.raises(ProviderError, match="temperature 0.7, not 0.2"):
+            ReplayCacheProvider(tmp_path, temperature=0.2)
+        with pytest.raises(ProviderError, match="temperature 0.7, not 0.2"):
+            make_provider(
+                {"kind": "replay-cache", "directory": str(tmp_path),
+                 "temperature": 0.2}
+            )
+
+    def test_temperature_kept_when_manifest_names_none(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"model": "m"}\n')
+        assert ReplayCacheProvider(tmp_path, temperature=0.2).temperature == 0.2
+        assert ReplayCacheProvider(tmp_path).temperature is None
 
 
 class _CountingProvider(Provider):
@@ -128,9 +150,21 @@ class _CountingProvider(Provider):
 
 
 class TestCachingProvider:
+    def test_caching_wrapper_delegates(self, tmp_path):
+        wrapped_mock = CachingProvider(tmp_path, EchoProvider())
+        assert wrapped_mock.kind == "mock"
+        assert wrapped_mock.model == "mock-echo"
+        assert wrapped_mock.temperature is None
+        wrapped_http = CachingProvider(
+            tmp_path, HttpProvider("http://127.0.0.1:1/", "m", temperature=0.3)
+        )
+        assert wrapped_http.kind == "http"
+        assert wrapped_http.model == "m"
+        assert wrapped_http.temperature == 0.3
+
     def test_write_through_then_disk(self, tmp_path):
         inner = _CountingProvider()
-        provider = CachingProvider(inner, tmp_path / "cache")
+        provider = CachingProvider(tmp_path / "cache", inner)
         request = PromptRequest("explainer", "p")
         assert provider.complete(request) == "counted answer"
         assert inner.calls == 1
@@ -141,7 +175,7 @@ class TestCachingProvider:
 
     def test_distinct_trials_miss_separately(self, tmp_path):
         inner = _CountingProvider()
-        provider = CachingProvider(inner, tmp_path)
+        provider = CachingProvider(tmp_path, inner)
         provider.complete(PromptRequest("r", "p", trial=0))
         provider.complete(PromptRequest("r", "p", trial=1))
         assert inner.calls == 2
@@ -150,12 +184,12 @@ class TestCachingProvider:
         inner = _CountingProvider()
         key = cache_key("counting", "p", 0)
         (tmp_path / f"{key}.txt").write_text("from disk")
-        provider = CachingProvider(inner, tmp_path)
+        provider = CachingProvider(tmp_path, inner)
         assert provider.complete(PromptRequest("r", "p")) == "from disk"
         assert inner.calls == 0
 
     def test_first_write_records_the_model_for_replay(self, tmp_path):
-        provider = CachingProvider(_CountingProvider(), tmp_path / "cache")
+        provider = CachingProvider(tmp_path / "cache", _CountingProvider())
         provider.complete(PromptRequest("r", "p"))
         manifest = tmp_path / "cache" / "manifest.json"
         assert json.loads(manifest.read_text()) == {"model": "counting"}
@@ -169,7 +203,7 @@ class TestCachingProvider:
     def test_manifest_kept_once_written(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text('{"model": "first"}\n')
-        CachingProvider(_CountingProvider(), tmp_path).complete(
+        CachingProvider(tmp_path, _CountingProvider()).complete(
             PromptRequest("r", "p")
         )
         assert manifest.read_text() == '{"model": "first"}\n'
@@ -182,14 +216,14 @@ class TestCachingProvider:
     def test_first_write_records_the_temperature(self, tmp_path):
         inner = _CountingProvider()
         inner.temperature = 0.7
-        CachingProvider(inner, tmp_path).complete(PromptRequest("r", "p"))
+        CachingProvider(tmp_path, inner).complete(PromptRequest("r", "p"))
         assert json.loads((tmp_path / "manifest.json").read_text()) == {
             "model": "counting",
             "temperature": 0.7,
         }
 
     def test_mock_manifest_names_no_temperature(self, tmp_path):
-        CachingProvider(EchoProvider(), tmp_path).complete(
+        CachingProvider(tmp_path, EchoProvider()).complete(
             PromptRequest("explainer", "p", program_source="x")
         )
         assert (tmp_path / "manifest.json").read_bytes() == (
@@ -203,7 +237,7 @@ class TestCachingProvider:
         inner = _CountingProvider()
         inner.temperature = 0.2
         with pytest.raises(ProviderError, match="temperature 0.7"):
-            CachingProvider(inner, tmp_path)
+            CachingProvider(tmp_path, inner)
         assert inner.calls == 0
 
     def test_other_temperature_is_refused_by_make_provider(self, tmp_path):
@@ -231,13 +265,13 @@ class TestCachingProvider:
             '{"model": "counting"}\n',
         ):
             manifest.write_text(text)
-            provider = CachingProvider(inner, tmp_path)
+            provider = CachingProvider(tmp_path, inner)
             assert provider.complete(PromptRequest("r", "p")) == "counted answer"
             assert manifest.read_text() == text
 
     def test_unicode_round_trip(self, tmp_path):
         inner = _CountingProvider(answer="héllo → wörld\n")
-        provider = CachingProvider(inner, tmp_path)
+        provider = CachingProvider(tmp_path, inner)
         request = PromptRequest("r", "p")
         assert provider.complete(request) == "héllo → wörld\n"
         assert provider.complete(request) == "héllo → wörld\n"
@@ -403,6 +437,21 @@ class TestMakeProvider:
         )
         assert isinstance(provider, CachingProvider)
         assert isinstance(provider.inner, EchoProvider)
+
+    def test_replay_cache_temperature(self, tmp_path):
+        provider = make_provider(
+            {"kind": "replay-cache", "directory": str(tmp_path), "temperature": 0}
+        )
+        assert provider.temperature == 0.0
+        provider = make_provider(
+            {"kind": "replay-cache", "directory": str(tmp_path), "temperature": None}
+        )
+        assert provider.temperature is None
+
+    @pytest.mark.parametrize("q", [1.5, -0.1, "often"])
+    def test_bad_line_drop_q_rejected(self, q):
+        with pytest.raises(ProviderError, match="line-drop mock"):
+            make_provider({"kind": "mock", "mock": "line-drop", "q": q})
 
     def test_unknown_mock_rejected(self):
         with pytest.raises(ProviderError, match="unknown mock"):
