@@ -86,8 +86,9 @@ class ExperimentConfig:
         unknown = [b for b in self.baselines if b not in BASELINE_KEYS]
         if unknown:
             raise ConfigError(f"unknown baselines: {unknown}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        for name in ("k", "max_retries", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if any(level not in (1, 2) for level in self.obfuscation_levels):
             raise ConfigError("obfuscation levels must be 1 or 2")
         if self.track != "microrts":

@@ -18,8 +18,6 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 
 class ProviderError(RuntimeError):
     """A provider failed to produce a completion."""
@@ -99,6 +97,7 @@ class HttpProvider(Provider):
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": self.temperature,
         }
+        import requests  # here, so that only this provider pays for the import
         try:
             response = requests.post(
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
@@ -232,18 +231,17 @@ def make_provider(config: dict) -> Provider:
     kind = config.get("kind")
     if kind == "http":
         provider: Provider = HttpProvider(
-            endpoint=config["endpoint"],
-            model=config["model"],
-            temperature=float(config.get("temperature", 0.0)),
-            timeout=float(config.get("timeout", 60.0)),
+            endpoint=_required(config, "endpoint"),
+            model=_required(config, "model"),
+            temperature=_number(config, "temperature", 0.0),
+            timeout=_number(config, "timeout", 60.0),
             api_key_env=config.get("api_key_env", "LINT_API_KEY"),
         )
     elif kind == "replay-cache":
-        temperature = config.get("temperature")
         return ReplayCacheProvider(
-            config["directory"],
+            _required(config, "directory"),
             model=config.get("model"),
-            temperature=None if temperature is None else float(temperature),
+            temperature=_number(config, "temperature", None),
         )
     elif kind == "mock":
         name = config.get("mock", "echo")
@@ -268,3 +266,23 @@ def make_provider(config: dict) -> Provider:
     if cache_dir:
         provider = CachingProvider(cache_dir, provider)
     return provider
+
+
+def _required(config: dict, key: str):
+    if key not in config:
+        raise ProviderError(f"{config.get('kind')} provider config needs {key!r}")
+    return config[key]
+
+
+def _number(config: dict, key: str, default: float | None) -> float | None:
+    """``config[key]`` as a float; ``default`` when absent or ``None``."""
+    value = config.get(key)
+    if value is None:
+        return default
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ProviderError(
+            f"{config.get('kind')} provider config: {key} must be a number, "
+            f"not {value!r}"
+        ) from exc

@@ -19,11 +19,21 @@ Semantics:
 Resolved actions are concrete (exact target ids and cells), and units left
 unassigned act as if assigned ``idle()``: hold position, auto-attacking the
 closest enemy in range.
+
+Each (program, stat table) pair is lowered once to one generated Python
+function, cached for the program's lifetime. Under its table, every command
+runs only for the unit kinds that can carry it out (``train X``: kinds that
+train X; ``build X``: kinds that build X; ``attack`` and
+``attack_if_in_range``: kinds that can attack; ``harvest``: kinds that can
+harvest; ``moveToUnit`` and ``moveAway``: kinds that can move; ``idle``:
+every kind), since for any other kind it would be skipped anyway.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import weakref
+from types import CodeType
 from typing import Callable
 
 from ..microlang.ast import (
@@ -45,7 +55,7 @@ from .actions import (
     Action,
 )
 from .state import Cell, GameState, Unit
-from .units import RESOURCE, BASE
+from .units import BASE, RESOURCE, UnitStats
 
 # direction -> grid delta; y grows downward
 _DELTAS = {"Up": (0, -1), "Right": (1, 0), "Down": (0, 1), "Left": (-1, 0)}
@@ -99,6 +109,8 @@ class _Context:
     def __init__(self, state: GameState, player: int):
         self.state = state
         self.stats = state.stats
+        self.width, self.height = state.width, state.height
+        self.occupancy = state.occupancy
         self.player = player
         opponent = 1 - player
         units = state.units
@@ -129,8 +141,9 @@ class _Context:
         self.committed_cost = 0
         self.pending_spawns: dict[str, int] = {}
         self.reserved: set[Cell] = set()
-        # state-only guard values computed so far at this decision point
-        self.guards: dict[BoolCall, bool] = {}
+        # state-only guard values computed so far at this decision point, by
+        # the number the generated function gives each distinct call
+        self.guards: dict[int, bool] = {}
 
     # -- assignment ---------------------------------------------------------
 
@@ -146,7 +159,13 @@ class _Context:
     # -- target helpers -----------------------------------------------------
 
     def free_cell(self, cell: Cell) -> bool:
-        return self.state.is_free(cell) and cell not in self.reserved
+        x, y = cell
+        return (
+            0 <= x < self.width
+            and 0 <= y < self.height
+            and cell not in self.occupancy
+            and cell not in self.reserved
+        )
 
     def spawn_cell(self, unit: Unit, direction: str) -> Cell | None:
         if direction == "EnemyDir":
@@ -184,10 +203,8 @@ class _Context:
         best_key: tuple[int, int, int] | None = None
         for rank, (dx, dy) in enumerate(_MOVE_DELTAS):
             cell = (unit.x + dx, unit.y + dy)
-            if not self.free_cell(cell):
-                continue
             pair = _distance_pair(cell, goal)
-            if pair >= current:
+            if pair >= current or not self.free_cell(cell):
                 continue
             key = (*pair, rank)
             if best_key is None or key < best_key:
@@ -202,10 +219,8 @@ class _Context:
         best_key: tuple[int, int, int] | None = None
         for rank, (dx, dy) in enumerate(_MOVE_DELTAS):
             cell = (unit.x + dx, unit.y + dy)
-            if not self.free_cell(cell):
-                continue
             pair = _distance_pair(cell, anchor)
-            if pair <= current:
+            if pair <= current or not self.free_cell(cell):
                 continue
             key = (-pair[0], -pair[1], rank)
             if best_key is None or key < best_key:
@@ -319,21 +334,17 @@ _UNIT_GATED = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# commands: each runs for a bound unit that has no assignment yet
+# commands: each runs for a bound unit that has no assignment yet and whose
+# kind can carry the command out (see ``_COMMANDS``)
 # ---------------------------------------------------------------------------
 
 
 def _spawn(cmd: Command, unit: Unit, ctx: _Context) -> None:
     kind, direction, limit = cmd.args
-    stats = ctx.stats
-    mine = stats[unit.kind]
-    allowed = mine.trains if cmd.name == "train" else mine.builds
-    if kind not in allowed:
-        return
     have = ctx.own_counts.get(kind, 0) + ctx.pending_spawns.get(kind, 0)
     if have >= limit:
         return
-    cost = stats[kind].cost
+    cost = ctx.stats[kind].cost
     if ctx.state.player_resources[ctx.player] - ctx.committed_cost < cost:
         return
     cell = ctx.spawn_cell(unit, direction)
@@ -357,12 +368,12 @@ def _approach(unit: Unit, goal: Cell, source: str, ctx: _Context) -> None:
 
 
 def _attack(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    mine = ctx.stats[unit.kind]
-    if not mine.can_attack or not ctx.enemies:
+    if not ctx.enemies:
         return
     victim = ctx.select(unit, ctx.enemies, cmd.args[0])
     if victim is None:
         return
+    mine = ctx.stats[unit.kind]
     if chebyshev(unit.pos, victim.pos) <= mine.attack_range:
         ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack"))
     elif mine.can_move:
@@ -372,8 +383,6 @@ def _attack(cmd: Command, unit: Unit, ctx: _Context) -> None:
 
 
 def _attack_if_in_range(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    if not ctx.stats[unit.kind].can_attack:
-        return
     victim = ctx.closest_enemy_in_range(unit)
     if victim is None:
         return
@@ -381,8 +390,6 @@ def _attack_if_in_range(cmd: Command, unit: Unit, ctx: _Context) -> None:
 
 
 def _harvest(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    if not ctx.stats[unit.kind].can_harvest:
-        return
     if ctx.harvesting >= cmd.args[0]:
         return
     if unit.carried > 0:
@@ -405,8 +412,6 @@ def _harvest(cmd: Command, unit: Unit, ctx: _Context) -> None:
 
 
 def _move_to_unit(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    if not ctx.stats[unit.kind].can_move:
-        return
     side, criterion = cmd.args
     pool = (
         [u for u in ctx.own if u.uid != unit.uid]
@@ -420,8 +425,6 @@ def _move_to_unit(cmd: Command, unit: Unit, ctx: _Context) -> None:
 
 
 def _move_away(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    if not ctx.stats[unit.kind].can_move:
-        return
     bases = [u for u in ctx.own if u.kind == BASE]
     anchor = ctx.select(unit, bases, "Closest")
     if anchor is None:
@@ -439,170 +442,271 @@ def _idle(cmd: Command, unit: Unit, ctx: _Context) -> None:
     ctx.assign(unit, ctx.idle_resolution(unit))
 
 
-_COMMANDS: dict[str, Callable[[Command, Unit, _Context], None]] = {
-    "train": _spawn,
-    "build": _spawn,
-    "attack": _attack,
-    "attack_if_in_range": _attack_if_in_range,
-    "harvest": _harvest,
-    "moveToUnit": _move_to_unit,
-    "moveAway": _move_away,
-    "idle": _idle,
+_Carries = Callable[[UnitStats, tuple], bool]
+
+# command -> (its function, whether a kind with these stats can carry out a
+# command with these arguments). For any other kind the function would
+# return without effect, so the generated code does not call it.
+_COMMANDS: dict[str, tuple[Callable[[Command, Unit, _Context], None], _Carries]] = {
+    "train": (_spawn, lambda stats, args: args[0] in stats.trains),
+    "build": (_spawn, lambda stats, args: args[0] in stats.builds),
+    "attack": (_attack, lambda stats, args: stats.can_attack),
+    "attack_if_in_range": (_attack_if_in_range, lambda stats, args: stats.can_attack),
+    "harvest": (_harvest, lambda stats, args: stats.can_harvest),
+    "moveToUnit": (_move_to_unit, lambda stats, args: stats.can_move),
+    "moveAway": (_move_away, lambda stats, args: stats.can_move),
+    "idle": (_idle, lambda stats, args: True),
+}
+
+# guard -> whether it holds for a unit of this kind with these stats, given
+# the call's arguments; ``canHarvest`` also needs the unit to carry
+# resources or a node to be left, which the generated code tests
+_KIND_GUARDS: dict[str, Callable[[str, UnitStats, tuple], bool]] = {
+    "is_Type": lambda kind, stats, args: kind == args[0],
+    "isBuilder": lambda kind, stats, args: bool(stats.builds),
+    "canAttack": lambda kind, stats, args: stats.can_attack,
+    "canHarvest": lambda kind, stats, args: stats.can_harvest,
 }
 
 
 # ---------------------------------------------------------------------------
-# compilation: each program is lowered once to a tree of closures
+# code generation: each (program, stat table) pair is lowered once to one
+# Python function ``run(ctx)``
 # ---------------------------------------------------------------------------
+#
+# Loops become nested ``for`` statements over ``ctx.own``, each with its own
+# loop variable. Every command is emitted behind a test that the bound
+# unit's kind is one that can carry it out under the table, and a command
+# no kind can carry out is not emitted; a statement that emits nothing is
+# dropped. A loop with no inner loop skips assigned units, and once its
+# unit is assigned goes on to the next one: the rest of the body could only
+# skip that unit. In a loop with an inner loop, ``u`` is rebound, so each
+# command tests that its unit is still unassigned. The function returns as
+# soon as a command leaves every own unit assigned, since nothing can change
+# after that. State-only guards are memoized in ``ctx.guards``, keyed by a
+# number shared by equal calls; the others are tested where they stand.
+#
+# The source holds no text of the program: every command, guard call,
+# argument and kind set is bound in the function's namespace under a
+# generated name. A block nested deeper than ``_MAX_INDENT`` levels goes
+# into a function of its own, so no program meets Python's limits on
+# nesting.
 
-# A compiled statement or statement list, run with ``u`` bound to the unit
-# (``None`` outside every loop).
-_Runner = Callable[[Unit | None, _Context], None]
-_Test = Callable[[Unit | None, _Context], bool]
+_MAX_INDENT = 12
 
 
-def _never(unit: Unit | None, ctx: _Context) -> bool:
-    return False
+class _Lowering:
+    """The Python source and namespace of one program under one table."""
 
+    def __init__(self, stats: dict[str, UnitStats]):
+        self.stats = stats
+        self.all_kinds = frozenset(stats)
+        self.namespace: dict[str, object] = {}
+        self.functions: list[str] = []
+        self.guard_keys: dict[BoolCall, int] = {}
+        self.loops = 0
 
-def _nothing(unit: Unit | None, ctx: _Context) -> None:
-    return None
+    def bind(self, value: object) -> str:
+        name = f"_{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
 
-
-def _compile_guard(call: BoolCall, bound: bool) -> _Test:
-    """The guard as a test; ``bound`` says whether it sits inside a loop."""
-    name, args = call.name, call.args
-    compute = _STATE_GUARDS.get(name)
-    if compute is not None:
-        if not bound and name in _UNIT_GATED:
-            return _never
-
-        def state_only(unit: Unit | None, ctx: _Context) -> bool:
-            guards = ctx.guards
-            value = guards.get(call)
-            if value is None:
-                value = guards[call] = compute(ctx, args)
-            return value
-
-        return state_only
-    if name == "haveQtdUnitsAttacking":
-        return lambda unit, ctx: ctx.attacking >= args[0]
-    if name == "hasNumberOfWorkersHarvesting":
-        return lambda unit, ctx: ctx.harvesting >= args[0]
-    if not bound:
-        return _never
-    if name == "is_Type":
-        return lambda unit, ctx: unit.kind == args[0]
-    if name == "isBuilder":
-        return lambda unit, ctx: bool(ctx.stats[unit.kind].builds)
-    if name == "canAttack":
-        return lambda unit, ctx: ctx.stats[unit.kind].can_attack
-    if name == "canHarvest":
-        return lambda unit, ctx: ctx.stats[unit.kind].can_harvest and (
-            unit.carried > 0 or bool(ctx.nodes)
+    def define(self, signature: str, body: list[str]) -> None:
+        self.functions.append(
+            "\n".join(
+                [
+                    f"def {signature}:",
+                    "    own = ctx.own",
+                    "    assigned = ctx.assigned",
+                    "    n_own = ctx.n_own",
+                    "    guards = ctx.guards",
+                    "    nodes = ctx.nodes",
+                    *body,
+                ]
+            )
         )
-    raise ValueError(f"unknown guard {name!r}")
 
+    def block(self, stmts: tuple[Statement, ...], unit: str | None, leaf: bool,
+              local: bool, indent: int) -> list[str]:
+        """Lines running ``stmts``; ``local`` says whether the loop binding
+        ``unit`` is in the same function, so ``continue`` reaches it."""
+        pad = "    " * indent
+        if indent > _MAX_INDENT:
+            # a function of its own, which returns where the block would
+            # leave its loop or stop; the caller then does the same
+            body = self.block(stmts, unit, leaf, False, 1)
+            if not body:
+                return []
+            name = f"_f{len(self.functions)}"
+            self.define(f"{name}(ctx, {unit or 'unit'})", body)
+            call = f"{pad}{name}(ctx, {unit or 'None'})"
+            return [call, *self.after_call(unit, leaf, local, pad)]
+        lines: list[str] = []
+        for stmt in stmts:
+            cls = stmt.__class__
+            if cls is Command:
+                lines += self.command(stmt, unit, leaf, local, pad)
+            elif cls is ForLoop:
+                lines += self.loop(stmt, indent)
+            elif cls is If:
+                lines += self.branch(stmt, unit, leaf, local, indent)
+            elif cls is not Empty:
+                raise TypeError(f"not a statement: {stmt!r}")
+        return lines
 
-def _compile_statement(stmt: Statement, bound: bool) -> _Runner | None:
-    """The statement as a runner, or ``None`` when it can never act."""
-    cls = stmt.__class__
-    if cls is Command:
-        if not bound:
+    def command(self, cmd: Command, unit: str | None, leaf: bool, local: bool,
+                pad: str) -> list[str]:
+        if unit is None:
+            return []
+        entry = _COMMANDS.get(cmd.name)
+        if entry is None:
+            raise ValueError(f"unknown command {cmd.name!r}")
+        run, carries = entry
+        kinds = frozenset(
+            kind for kind, stats in self.stats.items() if carries(stats, cmd.args)
+        )
+        if not kinds:
+            return []
+        tests = [] if leaf else [f"{unit}.uid not in assigned"]
+        if kinds != self.all_kinds:
+            tests.append(f"{unit}.kind in {self.bind(kinds)}")
+        lines = []
+        if tests:
+            lines.append(f"{pad}if {' and '.join(tests)}:")
+            pad += "    "
+        lines.append(f"{pad}{self.bind(run)}({self.bind(cmd)}, {unit}, ctx)")
+        return lines + self.after_call(unit, leaf, local, pad)
+
+    @staticmethod
+    def after_call(unit: str | None, leaf: bool, local: bool,
+                   pad: str) -> list[str]:
+        """Stop once every own unit is assigned; in a loop with no inner
+        loop, also leave the body once its unit is."""
+        if not leaf:
+            return [f"{pad}if len(assigned) == n_own:", f"{pad}    return"]
+        if not local:
+            return [f"{pad}if {unit}.uid in assigned:", f"{pad}    return"]
+        return [
+            f"{pad}if {unit}.uid in assigned:",
+            f"{pad}    if len(assigned) == n_own:",
+            f"{pad}        return",
+            f"{pad}    continue",
+        ]
+
+    def loop(self, stmt: ForLoop, indent: int) -> list[str]:
+        self.loops += 1
+        unit = f"u{self.loops}"
+        leaf = not any(inner.__class__ is ForLoop for inner in walk(stmt))
+        body = self.block(stmt.body, unit, leaf, True, indent + 1)
+        if not body:
+            return []
+        pad = "    " * indent
+        head = [f"{pad}for {unit} in own:"]
+        if leaf:
+            head += [f"{pad}    if {unit}.uid in assigned:", f"{pad}        continue"]
+        return head + body
+
+    def branch(self, stmt: If, unit: str | None, leaf: bool, local: bool,
+               indent: int) -> list[str]:
+        pad = "    " * indent
+        test = self.guard(stmt.cond, unit, pad)
+        if test is None:
+            # never true: only the else branch can act; the then branch is
+            # still lowered, so an unknown name in it is still an error
+            self.block(stmt.then, unit, leaf, local, indent)
+            return self.block(stmt.orelse or (), unit, leaf, local, indent)
+        prelude, condition = test
+        then = self.block(stmt.then, unit, leaf, local, indent + 1)
+        orelse = self.block(stmt.orelse or (), unit, leaf, local, indent + 1)
+        if not then and not orelse:
+            return []
+        lines = prelude + [f"{pad}if {condition}:", *(then or [f"{pad}    pass"])]
+        return lines + [f"{pad}else:", *orelse] if orelse else lines
+
+    def guard(self, call: BoolCall, unit: str | None,
+              pad: str) -> tuple[list[str], str] | None:
+        """(lines to run first, condition), or ``None`` for a guard that can
+        never hold here."""
+        name, args = call.name, call.args
+        compute = _STATE_GUARDS.get(name)
+        if compute is not None:
+            if unit is None and name in _UNIT_GATED:
+                return None
+            key = self.guard_keys.setdefault(call, len(self.guard_keys))
+            return [
+                f"{pad}held = guards.get({key})",
+                f"{pad}if held is None:",
+                f"{pad}    held = guards[{key}] = "
+                f"{self.bind(compute)}(ctx, {self.bind(args)})",
+            ], "held"
+        if name == "haveQtdUnitsAttacking":
+            return [], f"ctx.attacking >= {self.bind(args[0])}"
+        if name == "hasNumberOfWorkersHarvesting":
+            return [], f"ctx.harvesting >= {self.bind(args[0])}"
+        if unit is None:
             return None
-        command = _COMMANDS.get(stmt.name)
-        if command is None:
-            raise ValueError(f"unknown command {stmt.name!r}")
-
-        def run_command(unit: Unit, ctx: _Context) -> None:
-            if unit.uid not in ctx.assigned:
-                command(stmt, unit, ctx)
-
-        return run_command
-    if cls is ForLoop:
-        body = _compile_block(stmt.body, True)
-        if any(inner.__class__ is ForLoop for inner in walk(stmt)):
-            # an inner loop rebinds ``u``, so assigned units still matter
-            def run_outer_loop(unit: Unit | None, ctx: _Context) -> None:
-                assigned, n_own = ctx.assigned, ctx.n_own
-                for looped in ctx.own:
-                    if len(assigned) == n_own:
-                        return
-                    body(looped, ctx)
-
-            return run_outer_loop
-
-        # without one, the body cannot act for an assigned unit: its
-        # commands skip the unit and its guards have no effect
-        def run_loop(unit: Unit | None, ctx: _Context) -> None:
-            assigned, n_own = ctx.assigned, ctx.n_own
-            for looped in ctx.own:
-                if len(assigned) == n_own:
-                    return
-                if looped.uid not in assigned:
-                    body(looped, ctx)
-
-        return run_loop
-    if cls is If:
-        test = _compile_guard(stmt.cond, bound)
-        then = _compile_block(stmt.then, bound)
-        orelse = (
-            _nothing if stmt.orelse is None else _compile_block(stmt.orelse, bound)
+        holds = _KIND_GUARDS.get(name)
+        if holds is None:
+            raise ValueError(f"unknown guard {name!r}")
+        kinds = frozenset(
+            kind for kind, stats in self.stats.items() if holds(kind, stats, args)
         )
-
-        def run_if(unit: Unit | None, ctx: _Context) -> None:
-            if test(unit, ctx):
-                then(unit, ctx)
-            else:
-                orelse(unit, ctx)
-
-        return run_if
-    if cls is Empty:
-        return None
-    raise TypeError(f"not a statement: {stmt!r}")
+        if not kinds:
+            return None
+        condition = f"{unit}.kind in {self.bind(kinds)}"
+        if name == "canHarvest":
+            condition += f" and ({unit}.carried > 0 or bool(nodes))"
+        return [], condition
 
 
-def _compile_block(stmts: tuple[Statement, ...], bound: bool) -> _Runner:
-    """The statement list as one runner; it stops as soon as every own unit
-    holds an assignment, since nothing can change after that."""
-    steps = [
-        step
-        for step in (_compile_statement(stmt, bound) for stmt in stmts)
-        if step is not None
-    ]
-    if not steps:
-        return _nothing
-    if len(steps) == 1:
-        return steps[0]
-
-    def run_block(unit: Unit | None, ctx: _Context) -> None:
-        assigned, n_own = ctx.assigned, ctx.n_own
-        for step in steps:
-            if len(assigned) == n_own:
-                return
-            step(unit, ctx)
-
-    return run_block
+def _generate(program: Program, stats: dict[str, UnitStats]) -> tuple[str, dict]:
+    """The source defining ``run(ctx)`` for ``program`` under ``stats``, and
+    the namespace it runs in."""
+    lowering = _Lowering(stats)
+    body = lowering.block(program.body, None, False, False, 1)
+    lowering.define("run(ctx)", body or ["    pass"])
+    return "\n\n".join(lowering.functions) + "\n", lowering.namespace
 
 
-# id(program) -> its compiled body. An entry is dropped when its program is
-# freed, before the id can be reused; the closures read nothing but the
-# program, so sharing them across callers and threads changes no result.
-_COMPILED: dict[int, _Runner] = {}
+_Run = Callable[[_Context], None]
 
 
-def _compiled(program: Program) -> _Runner:
+@functools.lru_cache(maxsize=256)
+def _compile(source: str) -> CodeType:
+    # the source holds only the program's shape, so programs of one shape
+    # (a program parsed again, say) share its code
+    return compile(source, "<policy>", "exec")
+
+
+def _lower(program: Program, stats: dict[str, UnitStats]) -> _Run:
+    source, namespace = _generate(program, stats)
+    exec(_compile(source), namespace)
+    return namespace["run"]
+
+
+# id(program) -> {id(table): (table, its function)}. A program's entry is
+# dropped when the program is freed, before its id can be reused; an inner
+# entry holds its table, so the table's id cannot be reused while it lives.
+# The functions read nothing but the program and the table, so sharing them
+# across callers and threads changes no result.
+_GENERATED: dict[int, dict[int, tuple[dict, _Run]]] = {}
+
+
+def _generated(program: Program, stats: dict[str, UnitStats]) -> _Run:
     key = id(program)
-    runner = _COMPILED.get(key)
-    if runner is None:
-        runner = _COMPILED[key] = _compile_block(program.body, False)
-        weakref.finalize(program, _COMPILED.pop, key, None)
-    return runner
+    tables = _GENERATED.get(key)
+    if tables is None:
+        tables = _GENERATED[key] = {}
+        weakref.finalize(program, _GENERATED.pop, key, None)
+    entry = tables.get(id(stats))
+    if entry is None:
+        entry = tables[id(stats)] = (stats, _lower(program, stats))
+    return entry[1]
 
 
 def _run(program: Program, state: GameState, player: int) -> _Context:
     ctx = _Context(state, player)
-    _compiled(program)(None, ctx)
+    _generated(program, state.stats)(ctx)
     return ctx
 
 

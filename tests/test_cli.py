@@ -485,6 +485,57 @@ class TestScoreCmd:
         assert replayed.exit_code == 0
         assert json.loads(replayed.output) == json.loads(recorded.output)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"model": "m"}, "http provider config needs 'endpoint'"),
+            ({"endpoint": "http://127.0.0.1:1/"}, "http provider config needs 'model'"),
+            (
+                {"endpoint": "http://127.0.0.1:1/", "model": "m", "temperature": "hot"},
+                "temperature must be a number, not 'hot'",
+            ),
+            (
+                {"endpoint": "http://127.0.0.1:1/", "model": "m", "timeout": "soon"},
+                "timeout must be a number, not 'soon'",
+            ),
+        ],
+    )
+    def test_malformed_http_config_exits_two(self, runner, tmp_path, settings, message):
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps(settings))
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + ["--provider", "http", "--provider-config", str(config)],
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_replay_non_numeric_temperature_exits_two(self, runner, tmp_path):
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps({"temperature": "hot"}))
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + [
+                "--provider", "replay",
+                "--provider-config", str(config),
+                "--cache-dir", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "temperature must be a number, not 'hot'" in result.output
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--max-retries", "0"), ("--max-retries", "-1"), ("--workers", "0")],
+    )
+    def test_count_below_one_exits_two(self, runner, option, value):
+        result = runner.invoke(main, self.SCORE_ARGS + [option, value])
+        assert result.exit_code == 2
+        field = option[2:].replace("-", "_")
+        assert f"{field} must be >= 1" in result.output
+
     @pytest.mark.parametrize("q", ["1.5", "-0.5"])
     def test_line_drop_q_out_of_range_exits_two(self, runner, q):
         result = runner.invoke(
@@ -789,6 +840,52 @@ class TestReportCmd:
         result = runner.invoke(main, ["report", "--config", str(path)])
         assert result.exit_code == 2
         assert "q must be in [0, 1], got 1.5" in result.output
+
+    @pytest.mark.parametrize(
+        "provider, message",
+        [
+            (
+                {"kind": "replay-cache"},
+                "replay-cache provider config needs 'directory'",
+            ),
+            (
+                {"kind": "replay-cache", "directory": ".", "temperature": [0.2]},
+                "temperature must be a number, not [0.2]",
+            ),
+            (
+                {"kind": "http", "endpoint": "http://127.0.0.1:1/", "model": "m",
+                 "timeout": "soon"},
+                "timeout must be a number, not 'soon'",
+            ),
+        ],
+    )
+    def test_malformed_provider_exits_two(self, runner, tmp_path, provider, message):
+        path = tmp_path / "provider.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "programs": "pool8",
+                    "opponents": "standard-8",
+                    "provider": provider,
+                    "baselines": [],
+                }
+            )
+        )
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_retries", -1), ("max_retries", 0), ("workers", 0)]
+    )
+    def test_count_below_one_exits_two(self, runner, tmp_path, field, value):
+        path = tmp_path / "counts.json"
+        config = {"programs": "pool8", "opponents": "standard-8", "baselines": []}
+        config[field] = value
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2
+        assert f"{field} must be >= 1" in result.output
 
     def test_non_object_config_exits_two(self, runner, tmp_path):
         path = tmp_path / "list.json"

@@ -2,8 +2,9 @@
 
 One SHA-256 digest covers ``resolve_joint`` output on a fixed corpus of
 recorded decision states. The pinned value was computed with the
-statement-walking interpreter that the closure-tree evaluator replaced; any
-later change to the evaluator must reproduce it.
+statement-walking interpreter, the first evaluator; every later one,
+including the generated function per (program, stat table), must reproduce
+it.
 
 The corpus:
 

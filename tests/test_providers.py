@@ -5,11 +5,16 @@ headers, error handling) is exercised end to end without leaving the host.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import lintscore
 from lintscore.pipeline import (
     CachingProvider,
     EchoProvider,
@@ -370,6 +375,22 @@ class TestHttpProvider:
         provider = HttpProvider("http://127.0.0.1:1/", "m", timeout=2.0)
         with pytest.raises(ProviderError, match="failed"):
             provider.complete(PromptRequest("explainer", "p"))
+
+
+def test_cli_import_leaves_requests_out():
+    """Only the http provider needs ``requests``; it imports it per call."""
+    src = str(Path(lintscore.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = "import sys, lintscore.cli; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestMakeProvider:

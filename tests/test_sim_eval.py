@@ -1,8 +1,19 @@
 """Policy evaluation: priorities, eligibility gates, guards, targeting."""
 
+import pytest
+
 from lintscore.microlang import parse
-from lintscore.sim import Action, GameState, evaluate_policy, resolve_joint
+from lintscore.microlang.ast import BoolCall, Command, ForLoop, If, Program
+from lintscore.sim import (
+    DEFAULT_STATS,
+    Action,
+    GameState,
+    evaluate_policy,
+    load_stats,
+    resolve_joint,
+)
 from lintscore.sim.actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN
+from lintscore.sim.evaluator import _generate
 
 
 def grid(width=8, height=8, seed=0, resources=(0, 0)):
@@ -411,3 +422,122 @@ class TestIdleResolution:
         explicit = resolve_joint(loop("u.idle()"), state, 0)
         absent = resolve_joint(parse(""), state, 0)
         assert explicit == absent
+
+
+class TestGeneratedFunctions:
+    """Each (program, stat table) pair runs its own generated function."""
+
+    WORKERS_TRAIN_LIGHT = load_stats({"Worker": {"trains": ["Light"]}})
+
+    @pytest.mark.parametrize("custom_first", [True, False])
+    def test_one_program_under_two_tables(self, custom_first):
+        program = loop("u.train(Light,Up,1)")
+        tables = [self.WORKERS_TRAIN_LIGHT, DEFAULT_STATS]
+        for stats in tables if custom_first else tables[::-1]:
+            state = GameState(8, 8, player_resources=(5, 0), stats=stats)
+            worker = state.add_unit("Worker", 0, 2, 2)
+            state.add_unit("Worker", 1, 7, 7)
+            expected = (
+                {}
+                if stats is DEFAULT_STATS
+                else {worker.uid: Action(SPAWN, cell=(2, 1), unit_type="Light")}
+            )
+            assert evaluate_policy(program, state, 0) == expected
+
+    def test_program_text_never_reaches_the_source(self):
+        hostile = "Base')\n\"import os\nos.system('false')  # '''"
+        program = Program(
+            (
+                ForLoop(
+                    (
+                        If(
+                            BoolCall("is_Type", (hostile,)),
+                            (Command("idle"),),
+                            (Command("train", (hostile, "Up", 1)),),
+                        ),
+                        If(
+                            BoolCall("hasNumberOfUnits", (hostile, 1)),
+                            (Command("idle"),),
+                        ),
+                        Command("build", (hostile, "Left", 3)),
+                    )
+                ),
+            )
+        )
+        source, _ = _generate(program, DEFAULT_STATS)
+        assert "import" not in source and "system" not in source
+        state = grid(resources=(20, 0))
+        base = state.add_unit("Base", 0, 2, 2)
+        worker = state.add_unit("Worker", 0, 5, 5)
+        state.add_unit("Worker", 1, 7, 7)
+        # no kind is named so, trains or builds one, or is counted as one
+        assert evaluate_policy(program, state, 0) == {}
+        joint = resolve_joint(program, state, 0)
+        assert joint == {base.uid: Action("stand"), worker.uid: Action("stand")}
+
+    def test_no_own_units(self):
+        state = grid(resources=(5, 0))
+        state.add_unit("Worker", 1, 7, 7)
+        program = parse(
+            "u.idle()\n"
+            "if(u.hasUnitThatKillsInOneAttack()) then { u.idle() }\n"
+            "for(Unit u){\n"
+            "    for(Unit u){ u.train(Worker,Up,2) }\n"
+            "    u.attack(Closest)\n"
+            "}"
+        )
+        assert evaluate_policy(program, state, 0) == {}
+        assert resolve_joint(program, state, 0) == {}
+
+    def test_unit_gated_guard_is_false_outside_any_loop(self):
+        state = grid()
+        worker = state.add_unit("Worker", 0, 2, 2)
+        state.add_unit("Worker", 1, 6, 6)  # one hit point: killable in one
+        guard = "if(u.hasUnitThatKillsInOneAttack()) then {"
+        outside = parse(guard + " for(Unit u){ u.idle() } }")
+        inside = loop(guard + " u.idle() }")
+        assert evaluate_policy(outside, state, 0) == {}
+        assert worker.uid in evaluate_policy(inside, state, 0)
+
+    @pytest.mark.parametrize(
+        "deep, shallow",
+        [
+            (
+                "for(Unit u){" * 40 + "u.harvest(1) u.idle()" + "}" * 40,
+                "for(Unit u){ u.harvest(1) u.idle() }",
+            ),
+            (
+                "for(Unit u){"
+                + "if(u.canAttack()) then {" * 40
+                + "u.attack_if_in_range() u.harvest(5)"
+                + "}" * 40
+                + " u.moveAway() }",
+                "for(Unit u){ if(u.canAttack()) then {"
+                " u.attack_if_in_range() u.harvest(5) } u.moveAway() }",
+            ),
+            (
+                "for(Unit u){ for(Unit u){"
+                + "if(u.canHarvest()) then {" * 40
+                + "u.harvest(2)"
+                + "}" * 40
+                + "} u.idle() }",
+                "for(Unit u){ for(Unit u){ if(u.canHarvest()) then { u.harvest(2) }"
+                " } u.idle() }",
+            ),
+        ],
+        ids=["loops", "guards-in-a-loop", "guards-in-an-inner-loop"],
+    )
+    def test_deep_nesting_equals_shallow(self, deep, shallow):
+        state = grid()
+        state.add_unit("Base", 0, 0, 0)
+        state.add_unit("Worker", 0, 1, 1)
+        state.add_unit("Worker", 0, 2, 1)
+        state.add_unit("Light", 0, 4, 4)
+        state.add_unit("Worker", 0, 5, 4)  # in range of the enemy
+        state.add_unit("Resource", None, 0, 2, resources=5)
+        state.add_unit("Worker", 1, 5, 5)
+        expected = resolve_joint(parse(shallow), state, 0)
+        joint = resolve_joint(parse(deep), state, 0)
+        assert {u: a.to_json() for u, a in joint.items()} == {
+            u: a.to_json() for u, a in expected.items()
+        }
