@@ -44,10 +44,10 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
     """
     stats = state.stats
     units = state.units
+    ordered = sorted(actions.items())
 
     damage: dict[int, int] = {}
-    for uid in sorted(actions):
-        action = actions[uid]
+    for uid, action in ordered:
         if action.op != ATTACK or uid not in units:
             continue
         attacker = units[uid]
@@ -67,8 +67,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
     for uid, dealt in damage.items():
         units[uid].hp -= dealt
 
-    for uid in sorted(actions):
-        action = actions[uid]
+    for uid, action in ordered:
         if uid not in units:
             continue
         unit = units[uid]
@@ -98,8 +97,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
             state.player_resources[unit.owner] += unit.carried
             unit.carried = 0
 
-    for uid in sorted(actions):
-        action = actions[uid]
+    for uid, action in ordered:
         if action.op != MOVE or uid not in units:
             continue
         unit = units[uid]
@@ -111,8 +109,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
         else:
             counters.dropped += 1
 
-    for uid in sorted(actions):
-        action = actions[uid]
+    for uid, action in ordered:
         if action.op != SPAWN or uid not in units:
             continue
         owner = units[uid].owner
@@ -263,8 +260,8 @@ def play_match(
 
     end_tick = initial.tick + max_ticks
     while state.tick < end_tick:
-        alive0 = any(u.owner == 0 for u in state.units.values())
-        alive1 = any(u.owner == 1 for u in state.units.values())
+        # the split both players' evaluations on this state will share
+        alive0, alive1 = map(bool, state.sides().units)
         if not alive0 or not alive1:
             outcome = (1 if alive0 else 0) - (1 if alive1 else 0)
             break

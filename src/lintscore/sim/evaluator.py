@@ -18,7 +18,14 @@ Semantics:
 
 Resolved actions are concrete (exact target ids and cells), and units left
 unassigned act as if assigned ``idle()``: hold position, auto-attacking the
-closest enemy in range.
+closest enemy in range. A result that does not depend on the situation
+(standing still, per command) is one shared :class:`Action`.
+
+Evaluation reads the units through the state's :class:`~.state.Sides` split
+(each side's units and kind counts, the live resource nodes), built once
+per set of units and shared by both players; evaluation never changes it.
+Its lists ascend by id because ``GameState.units`` does, so nothing here
+sorts.
 
 Each (program, stat table) pair is lowered once to one generated Python
 function, cached for the program's lifetime. Under its table, every command
@@ -52,10 +59,11 @@ from .actions import (
     HARVEST,
     MOVE,
     SPAWN,
+    STAND,
     Action,
 )
 from .state import Cell, GameState, Unit
-from .units import BASE, RESOURCE, UnitStats
+from .units import BASE, UnitStats
 
 # direction -> grid delta; y grows downward
 _DELTAS = {"Up": (0, -1), "Right": (1, 0), "Down": (0, 1), "Left": (-1, 0)}
@@ -81,25 +89,38 @@ def chebyshev(a: Cell, b: Cell) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
-def _distance_pair(a: Cell, b: Cell) -> tuple[int, int]:
-    dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
-    return (max(dx, dy), dx + dy)
-
-
 def _stable_index(key: tuple, size: int) -> int:
     digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") % size
 
 
-# selection criterion -> (stat table, chooser's cell) -> sort key; ties go to
-# the lowest id. Built once rather than six closures per selection.
+def _closest(unit: Unit, pool: list[Unit], limit: int) -> Unit | None:
+    """The unit of ``pool`` at the least Chebyshev distance from ``unit``
+    below ``limit``; pools ascend by id, so the lowest id wins ties."""
+    best: Unit | None = None
+    x, y = unit.x, unit.y
+    for other in pool:
+        dist = max(abs(x - other.x), abs(y - other.y))
+        if dist < limit:
+            best, limit = other, dist
+    return best
+
+
+# selection criterion -> (stat table, chooser's x and y) -> sort key; ties go
+# to the lowest id. Built once rather than five closures per selection;
+# ``Closest`` is :func:`_closest`.
 _SELECT_KEYS = {
-    "Strongest": lambda stats, pos: lambda v: (-stats[v.kind].attack_damage, v.uid),
-    "Weakest": lambda stats, pos: lambda v: (stats[v.kind].attack_damage, v.uid),
-    "Closest": lambda stats, pos: lambda v: (chebyshev(pos, v.pos), v.uid),
-    "Farthest": lambda stats, pos: lambda v: (-chebyshev(pos, v.pos), v.uid),
-    "LessHealthy": lambda stats, pos: lambda v: (v.hp, v.uid),
-    "MostHealthy": lambda stats, pos: lambda v: (-v.hp, v.uid),
+    "Strongest": lambda stats, x, y: lambda v: (-stats[v.kind].attack_damage, v.uid),
+    "Weakest": lambda stats, x, y: lambda v: (stats[v.kind].attack_damage, v.uid),
+    "Farthest": lambda stats, x, y: lambda v: (-max(abs(x - v.x), abs(y - v.y)), v.uid),
+    "LessHealthy": lambda stats, x, y: lambda v: (v.hp, v.uid),
+    "MostHealthy": lambda stats, x, y: lambda v: (-v.hp, v.uid),
+}
+
+# command verb -> its shared stand-still result
+_STANDS = {
+    source: Action(STAND, source=source)
+    for source in ("idle", "attack", "harvest", "moveToUnit", "moveAway")
 }
 
 
@@ -112,29 +133,13 @@ class _Context:
         self.width, self.height = state.width, state.height
         self.occupancy = state.occupancy
         self.player = player
-        opponent = 1 - player
-        units = state.units
-        own: list[Unit] = []
-        enemies: list[Unit] = []
-        nodes: list[Unit] = []
-        own_counts: dict[str, int] = {}
-        enemy_counts: dict[str, int] = {}
-        for uid in sorted(units):
-            u = units[uid]
-            if u.owner == player:
-                own.append(u)
-                own_counts[u.kind] = own_counts.get(u.kind, 0) + 1
-            elif u.owner == opponent:
-                enemies.append(u)
-                enemy_counts[u.kind] = enemy_counts.get(u.kind, 0) + 1
-            if u.kind == RESOURCE and u.resources > 0:
-                nodes.append(u)
-        self.own = own
-        self.enemies = enemies
-        self.nodes = nodes
-        self.n_own = len(own)
-        self.own_counts = own_counts
-        self.enemy_counts = enemy_counts
+        sides = state.sides()
+        self.own = sides.units[player]
+        self.enemies = sides.units[1 - player]
+        self.nodes = sides.nodes
+        self.n_own = len(self.own)
+        self.own_counts = sides.counts[player]
+        self.enemy_counts = sides.counts[1 - player]
         self.assigned: dict[int, Action] = {}
         self.attacking = 0
         self.harvesting = 0
@@ -193,66 +198,47 @@ class _Context:
     def nearest_enemy_distance(self, cell: Cell) -> int:
         if not self.enemies:
             return 0
-        return min(chebyshev(cell, e.pos) for e in self.enemies)
+        x, y = cell
+        return min(max(abs(x - e.x), abs(y - e.y)) for e in self.enemies)
 
-    def step_toward(self, unit: Unit, goal: Cell) -> Cell | None:
-        """Free adjacent cell improving (Chebyshev, Manhattan) distance to
-        goal, so a blocked diagonal approach slides around the obstacle."""
-        current = _distance_pair(unit.pos, goal)
+    def next_cell(self, unit: Unit, goal: Cell, sign: int) -> Cell | None:
+        """Free adjacent cell improving (``sign`` 1) or worsening (``sign``
+        -1) the (Chebyshev, Manhattan) distance to ``goal`` the most, the
+        first in ``_MOVE_DELTAS`` order on ties. Improving by both lets a
+        blocked diagonal approach slide around the obstacle."""
+        gx, gy = goal
+        x, y = unit.x, unit.y
+        dx, dy = abs(x - gx), abs(y - gy)
+        # the best pair so far, times sign; the unit's own is the bar
+        far, path = sign * max(dx, dy), sign * (dx + dy)
         best: Cell | None = None
-        best_key: tuple[int, int, int] | None = None
-        for rank, (dx, dy) in enumerate(_MOVE_DELTAS):
-            cell = (unit.x + dx, unit.y + dy)
-            pair = _distance_pair(cell, goal)
-            if pair >= current or not self.free_cell(cell):
-                continue
-            key = (*pair, rank)
-            if best_key is None or key < best_key:
-                best_key, best = key, cell
-        return best
-
-    def step_away(self, unit: Unit, anchor: Cell) -> Cell | None:
-        """Free adjacent cell worsening (Chebyshev, Manhattan) distance from
-        the anchor."""
-        current = _distance_pair(unit.pos, anchor)
-        best: Cell | None = None
-        best_key: tuple[int, int, int] | None = None
-        for rank, (dx, dy) in enumerate(_MOVE_DELTAS):
-            cell = (unit.x + dx, unit.y + dy)
-            pair = _distance_pair(cell, anchor)
-            if pair <= current or not self.free_cell(cell):
-                continue
-            key = (-pair[0], -pair[1], rank)
-            if best_key is None or key < best_key:
-                best_key, best = key, cell
+        for mx, my in _MOVE_DELTAS:
+            dx, dy = abs(x + mx - gx), abs(y + my - gy)
+            cheb, manh = sign * max(dx, dy), sign * (dx + dy)
+            if cheb < far or (cheb == far and manh < path):
+                cell = (x + mx, y + my)
+                if self.free_cell(cell):
+                    best, far, path = cell, cheb, manh
         return best
 
     def select(self, unit: Unit, pool: list[Unit], criterion: str) -> Unit | None:
         if not pool:
             return None
+        if criterion == "Closest":  # no in-bounds distance reaches w + h
+            return _closest(unit, pool, self.width + self.height)
         if criterion == "Random":
             ids = tuple(u.uid for u in pool)
             idx = _stable_index((self.state.seed, unit.uid, ids), len(pool))
             return pool[idx]
-        return min(pool, key=_SELECT_KEYS[criterion](self.stats, unit.pos))
-
-    def closest_enemy_in_range(self, unit: Unit) -> Unit | None:
-        # enemies ascend by id, so the first at the least distance wins ties
-        best: Unit | None = None
-        best_dist = self.stats[unit.kind].attack_range + 1
-        x, y = unit.x, unit.y
-        for enemy in self.enemies:
-            dist = max(abs(x - enemy.x), abs(y - enemy.y))
-            if dist < best_dist:
-                best, best_dist = enemy, dist
-        return best
+        return min(pool, key=_SELECT_KEYS[criterion](self.stats, unit.x, unit.y))
 
     def idle_resolution(self, unit: Unit) -> Action:
-        if self.stats[unit.kind].can_attack:
-            victim = self.closest_enemy_in_range(unit)
+        kind = self.stats[unit.kind]
+        if kind.can_attack:
+            victim = _closest(unit, self.enemies, kind.attack_range + 1)
             if victim is not None:
                 return Action(ATTACK, target=victim.uid, source="idle")
-        return Action("stand", source="idle")
+        return _STANDS["idle"]
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +342,14 @@ def _spawn(cmd: Command, unit: Unit, ctx: _Context) -> None:
     ctx.assign(unit, Action(SPAWN, cell=cell, unit_type=kind, source=cmd.name))
 
 
-def _approach(unit: Unit, goal: Cell, source: str, ctx: _Context) -> None:
-    """Assign a step toward ``goal``, or standing still when none helps."""
-    step = ctx.step_toward(unit, goal)
+def _approach(unit: Unit, goal: Cell, source: str, ctx: _Context, sign: int = 1) -> None:
+    """Assign a step toward ``goal`` (away from it for ``sign`` -1), or
+    standing still when none helps."""
+    step = ctx.next_cell(unit, goal, sign)
     action = (
         Action(MOVE, cell=step, source=source)
         if step is not None
-        else Action("stand", source=source)
+        else _STANDS[source]
     )
     ctx.assign(unit, action)
 
@@ -379,11 +366,11 @@ def _attack(cmd: Command, unit: Unit, ctx: _Context) -> None:
     elif mine.can_move:
         _approach(unit, victim.pos, "attack", ctx)
     else:
-        ctx.assign(unit, Action("stand", source="attack"))
+        ctx.assign(unit, _STANDS["attack"])
 
 
 def _attack_if_in_range(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    victim = ctx.closest_enemy_in_range(unit)
+    victim = _closest(unit, ctx.enemies, ctx.stats[unit.kind].attack_range + 1)
     if victim is None:
         return
     ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack_if_in_range"))
@@ -429,13 +416,7 @@ def _move_away(cmd: Command, unit: Unit, ctx: _Context) -> None:
     anchor = ctx.select(unit, bases, "Closest")
     if anchor is None:
         return
-    step = ctx.step_away(unit, anchor.pos)
-    action = (
-        Action(MOVE, cell=step, source="moveAway")
-        if step is not None
-        else Action("stand", source="moveAway")
-    )
-    ctx.assign(unit, action)
+    _approach(unit, anchor.pos, "moveAway", ctx, -1)
 
 
 def _idle(cmd: Command, unit: Unit, ctx: _Context) -> None:

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
-from .units import DEFAULT_STATS, UnitStats
+from .units import DEFAULT_STATS, RESOURCE, UnitStats
 
 Cell = tuple[int, int]
 
@@ -52,12 +53,40 @@ class Unit:
         return f"Unit{self.as_tuple()!r}"
 
 
+class Sides:
+    """The units split as policy evaluation reads them: each player's units
+    and per-kind counts, and the resource nodes with resources left, each
+    list in ascending id order. Only a spawn or a removal changes it (a node
+    that runs out is removed at the end of its tick); moves, damage and
+    harvests change the units it holds, not the split."""
+
+    __slots__ = ("units", "counts", "nodes")
+
+    def __init__(self, units: Iterable[Unit]):
+        self.units: tuple[list[Unit], list[Unit]] = ([], [])
+        self.counts: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        self.nodes: list[Unit] = []
+        for unit in units:
+            if unit.owner is not None:
+                self.units[unit.owner].append(unit)
+                counts = self.counts[unit.owner]
+                counts[unit.kind] = counts.get(unit.kind, 0) + 1
+            if unit.kind == RESOURCE and unit.resources > 0:
+                self.nodes.append(unit)
+
+
 class GameState:
     """Grid world with at most one unit per cell.
 
     The ``tick`` counter is excluded from :meth:`snapshot` so that states
     which differ only by elapsed time compare equal; this keeps decision-state
     deduplication and seeded random choices consistent under replay.
+
+    ``units`` ascends by id (see ``__init__``), so nothing sorts it.
+    :meth:`sides` builds the :class:`Sides` split once and keeps it until
+    :meth:`add_unit` or :meth:`remove_unit` changes which units exist, so
+    both players' evaluations on one state, and those on later ticks with
+    no spawn or death, share it.
     """
 
     def __init__(
@@ -74,7 +103,10 @@ class GameState:
         self.tick = 0
         self.player_resources = [player_resources[0], player_resources[1]]
         self.stats = stats if stats is not None else DEFAULT_STATS
+        # ascending id order: ids come from ``next_uid``, which only grows,
+        # and restore_state and clone insert in id order
         self.units: dict[int, Unit] = {}
+        self._sides: Sides | None = None
         self.occupancy: dict[Cell, int] = {}
         self.next_uid = 0
 
@@ -108,11 +140,13 @@ class GameState:
         )
         self.units[uid] = unit
         self.occupancy[(x, y)] = uid
+        self._sides = None
         return unit
 
     def remove_unit(self, uid: int) -> None:
         unit = self.units.pop(uid)
         del self.occupancy[unit.pos]
+        self._sides = None
 
     def move_unit(self, uid: int, cell: Cell) -> None:
         unit = self.units[uid]
@@ -131,6 +165,11 @@ class GameState:
     def player_units(self, player: int) -> list[Unit]:
         return [u for u in self.units.values() if u.owner == player]
 
+    def sides(self) -> Sides:
+        if self._sides is None:
+            self._sides = Sides(self.units.values())
+        return self._sides
+
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> tuple:
@@ -141,7 +180,7 @@ class GameState:
             self.seed,
             self.player_resources[0],
             self.player_resources[1],
-            tuple(self.units[uid].as_tuple() for uid in sorted(self.units)),
+            tuple(unit.as_tuple() for unit in self.units.values()),
         )
 
     def clone(self) -> "GameState":
@@ -166,16 +205,15 @@ def restore_state(
 ) -> GameState:
     """Rebuild a state from :meth:`GameState.snapshot` output.
 
-    Restored states are meant for policy re-evaluation; the unit-id counter
-    restarts above the highest live id.
+    Restored states are meant for policy re-evaluation, so their split is
+    built here; the unit-id counter restarts above the highest live id.
     """
     width, height, seed, res0, res1, unit_tuples = snapshot
     state = GameState(width, height, seed, (res0, res1), stats)
-    for fields in unit_tuples:
-        uid, kind, owner, x, y, hp, carried, resources = fields
-        unit = Unit(uid, kind, owner, x, y, hp, carried, resources)
-        state.units[uid] = unit
-        state.occupancy[(x, y)] = uid
+    units = [Unit(*fields) for fields in unit_tuples]
+    state.units = {unit.uid: unit for unit in units}
+    state.occupancy = {(unit.x, unit.y): unit.uid for unit in units}
+    state._sides = Sides(units)
     state.next_uid = max(state.units, default=-1) + 1
     return state
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from lintscore.metrics import OpponentSet, compare
 from lintscore.microlang import parse
 from lintscore.microlang.ast import BoolCall, Command, ForLoop, If, Program
+from lintscore.resources import data_path
 from lintscore.sim import (
     DEFAULT_STATS,
     Action,
@@ -13,7 +15,7 @@ from lintscore.sim import (
     resolve_joint,
 )
 from lintscore.sim.actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN
-from lintscore.sim.evaluator import _generate
+from lintscore.sim.evaluator import _STANDS, _generate
 
 
 def grid(width=8, height=8, seed=0, resources=(0, 0)):
@@ -541,3 +543,90 @@ class TestGeneratedFunctions:
         assert {u: a.to_json() for u, a in joint.items()} == {
             u: a.to_json() for u, a in expected.items()
         }
+
+
+class TestAction:
+    ACTIONS = [
+        Action(op, target=target, cell=cell, unit_type=kind, source=source)
+        for op, target, cell, kind in [
+            ("stand", None, None, None),
+            (ATTACK, 0, None, None),
+            (ATTACK, 3, None, None),
+            (MOVE, None, (1, 2), None),
+            (MOVE, None, (2, 1), None),
+            (SPAWN, None, (1, 2), "Light"),
+            (SPAWN, None, (1, 2), "Heavy"),
+        ]
+        for source in ("", "idle", "attack")
+    ]
+
+    def test_equality_ignores_source(self):
+        for a in self.ACTIONS:
+            for b in self.ACTIONS:
+                same = (a.op, a.target, a.cell, a.unit_type) == (
+                    b.op, b.target, b.cell, b.unit_type
+                )
+                assert (a == b) is same
+                assert (a != b) is not same
+        assert Action(MOVE, cell=(1, 2), source="attack") == Action(
+            MOVE, cell=(1, 2), source="harvest"
+        )
+        assert Action("stand") != None  # noqa: E711
+        assert Action("stand") != ("stand", None, None, None, "")
+
+    def test_hash_agrees_with_equality(self):
+        for a in self.ACTIONS:
+            for b in self.ACTIONS:
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert len(set(self.ACTIONS)) == len(self.ACTIONS) // 3
+
+    def test_to_json(self):
+        assert Action("stand").to_json() == {"op": "stand"}
+        assert Action(ATTACK, target=0, source="idle").to_json() == {
+            "op": "attack",
+            "target": 0,
+            "source": "idle",
+        }
+        spawn = Action(SPAWN, target=None, cell=(1, 2), unit_type="Light",
+                       source="train").to_json()
+        assert list(spawn.items()) == [
+            ("op", "spawn"), ("cell", [1, 2]), ("unit_type", "Light"),
+            ("source", "train"),
+        ]
+        assert Action(HARVEST, target=4, source="harvest").to_json() == {
+            "op": "harvest", "target": 4, "source": "harvest",
+        }
+
+    def test_shared_actions_are_never_written(self, pool16, monkeypatch):
+        """The evaluator returns the same object for every situation-free
+        result: no code that matches, follows, replays or records them may
+        write to one."""
+        shared = list(_STANDS.values())
+        fields = [(a.op, a.target, a.cell, a.unit_type, a.source) for a in shared]
+        setattr_ = Action.__setattr__
+
+        def guarded(action, name, value):
+            if any(action is a for a in shared):
+                raise AssertionError(f"{name} written on shared {action!r}")
+            setattr_(action, name, value)
+
+        monkeypatch.setattr(Action, "__setattr__", guarded)
+        oset = OpponentSet.from_file(data_path("opponents8.json"))
+        programs = [program for _, program in pool16]
+        returned = 0
+        for program in programs:
+            for record in oset.matches(program):
+                record.to_json()
+                for entry in record.entries:
+                    returned += sum(
+                        any(action is a for a in shared)
+                        for action in entry.actions.values()
+                    )
+        for pi, other in zip(programs, programs[1:]):
+            compare(pi, other, oset, per_unit=True)
+        assert returned > 0
+        assert [
+            (a.op, a.target, a.cell, a.unit_type, a.source) for a in shared
+        ] == fields
+        assert all(a.source and a.op == "stand" for a in shared)

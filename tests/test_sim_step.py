@@ -143,6 +143,29 @@ class TestMovePhase:
         assert b.pos == (3, 2)
         assert counters.dropped == 1
 
+    def test_conflicts_resolve_by_uid_not_map_order(self):
+        state = grid(resources=(1, 0))
+        a = state.add_unit("Light", 0, 1, 2)
+        b = state.add_unit("Light", 0, 3, 2)
+        first = state.add_unit("Worker", 0, 5, 5)
+        second = state.add_unit("Worker", 0, 7, 5)
+        node = state.add_unit("Resource", None, 6, 5, resources=1)
+        base = state.add_unit("Base", 0, 0, 7)
+        barracks = state.add_unit("Barracks", 0, 2, 7)
+        # the map lists each phase's higher uid first
+        counters = run(state, {
+            b.uid: Action(MOVE, cell=(2, 2)),
+            a.uid: Action(MOVE, cell=(2, 2)),
+            second.uid: Action(HARVEST, target=node.uid),
+            first.uid: Action(HARVEST, target=node.uid),
+            barracks.uid: Action(SPAWN, cell=(1, 7), unit_type="Light"),
+            base.uid: Action(SPAWN, cell=(1, 7), unit_type="Worker"),
+        })
+        assert a.pos == (2, 2) and b.pos == (3, 2)
+        assert (first.carried, second.carried) == (1, 0)
+        assert state.units[state.occupancy[(1, 7)]].kind == "Worker"
+        assert counters.dropped == 3
+
     def test_move_into_cell_vacated_this_tick(self):
         state = grid()
         a = state.add_unit("Light", 0, 2, 2)
