@@ -24,15 +24,12 @@ from .io_compare import (
     normalize_output,
 )
 from .opponents import (
-    AdmissionReport,
     Opponent,
     OpponentSet,
     standard_opponents,
-    validate_opponents,
 )
 
 __all__ = [
-    "AdmissionReport",
     "BehaviorReport",
     "ExecFailure",
     "IoReport",
@@ -54,5 +51,4 @@ __all__ = [
     "rand_index",
     "select_policy_indices",
     "standard_opponents",
-    "validate_opponents",
 ]

@@ -99,9 +99,6 @@ class OpponentSet:
             records.append(record)
         return records
 
-    def signature(self, program: Program) -> tuple[int, ...]:
-        return tuple(record.outcome for record in self.matches(program))
-
     @classmethod
     def from_file(cls, path: str | Path) -> "OpponentSet":
         path = Path(path)
@@ -134,31 +131,3 @@ def standard_opponents(size: int = 16) -> OpponentSet:
             data_path(_STANDARD_FILES[size])
         )
     return _standard_cache[size]
-
-
-@dataclass
-class AdmissionReport:
-    all_win: list[str]
-    all_loss: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.all_win and not self.all_loss
-
-
-def validate_opponents(
-    candidates: dict[str, Program], oset: OpponentSet
-) -> AdmissionReport:
-    """Check that no candidate sweeps or loses the entire gauntlet.
-
-    Outcome signatures with no variation carry no information for the
-    outcome metric, so such a pool would be degenerate.
-    """
-    all_win, all_loss = [], []
-    for ident, program in candidates.items():
-        outcomes = oset.signature(program)
-        if all(o == 1 for o in outcomes):
-            all_win.append(ident)
-        if all(o == -1 for o in outcomes):
-            all_loss.append(ident)
-    return AdmissionReport(all_win, all_loss)

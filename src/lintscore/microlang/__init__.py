@@ -17,7 +17,7 @@ from .ast import (
     to_dict,
     walk,
 )
-from .analysis import line_count, nesting_depth, normalized_lines, syntax_set
+from .analysis import line_count, normalized_lines, syntax_set
 from .generate import random_program
 from .parser import ArityError, ParseError, UnknownIdentifier, parse
 from .printer import print_program
@@ -41,7 +41,6 @@ __all__ = [
     "Statement",
     "UnknownIdentifier",
     "line_count",
-    "nesting_depth",
     "normalized_lines",
     "parse",
     "print_program",

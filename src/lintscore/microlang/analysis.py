@@ -1,9 +1,7 @@
-"""Source-level and tree-level program measures."""
+"""Source-level program measures."""
 from __future__ import annotations
 
 import re
-
-from .ast import ForLoop, If, Program, Statement
 
 _PUNCT_SPACING = re.compile(r"\s*([(),.;])\s*")
 _WS_RUN = re.compile(r"\s+")
@@ -37,20 +35,3 @@ def line_count(source: str) -> int:
 def syntax_set(source: str) -> frozenset[str]:
     """The set of distinct normalized lines of a program's text."""
     return frozenset(normalized_lines(source))
-
-
-def nesting_depth(program: Program) -> int:
-    """Maximum depth of nested for-loops."""
-
-    def depth_of(stmts: tuple[Statement, ...]) -> int:
-        best = 0
-        for stmt in stmts:
-            if isinstance(stmt, ForLoop):
-                best = max(best, 1 + depth_of(stmt.body))
-            elif isinstance(stmt, If):
-                best = max(best, depth_of(stmt.then))
-                if stmt.orelse is not None:
-                    best = max(best, depth_of(stmt.orelse))
-        return best
-
-    return depth_of(program.body)

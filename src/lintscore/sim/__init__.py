@@ -9,8 +9,8 @@ from .engine import (
     step,
 )
 from .evaluator import chebyshev, evaluate_policy, resolve_joint
-from .state import GameState, Unit, load_map, restore_state, state_from_map_dict
-from .units import DEFAULT_STATS, UnitStats, load_stats
+from .state import GameState, Unit, restore_state, state_from_map_dict
+from .units import DEFAULT_STATS, UnitStats
 
 __all__ = [
     "Action",
@@ -23,8 +23,6 @@ __all__ = [
     "UnitStats",
     "chebyshev",
     "evaluate_policy",
-    "load_map",
-    "load_stats",
     "play_match",
     "resolve_joint",
     "restore_state",

@@ -9,7 +9,7 @@ from ..microlang.ast import Program
 from .actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN, Action
 from .evaluator import chebyshev, resolve_joint
 from .state import GameState, restore_state
-from .units import BARRACKS, BASE, HEAVY, LIGHT, RANGED, WORKER, UnitStats
+from .units import BARRACKS, BASE, DEFAULT_STATS, HEAVY, LIGHT, RANGED, WORKER
 
 FEATURE_KINDS = (WORKER, LIGHT, HEAVY, RANGED, BASE, BARRACKS)
 
@@ -42,7 +42,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
     Deaths and node depletion apply at end of tick, so a unit killed this
     tick still completes its own action.
     """
-    stats = state.stats
+    stats = DEFAULT_STATS
     units = state.units
     ordered = sorted(actions.items())
 
@@ -100,9 +100,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
     for uid, action in ordered:
         if action.op != MOVE or uid not in units:
             continue
-        unit = units[uid]
-        kind = stats[unit.kind]
-        if not kind.can_move or state.tick % kind.move_period != 0:
+        if not stats[units[uid].kind].can_move:
             continue
         if state.is_free(action.cell):
             state.move_unit(uid, action.cell)
@@ -156,11 +154,9 @@ class DecisionEntry:
     def digest(self) -> str:
         return snapshot_digest(self.snapshot)
 
-    def resume(
-        self, stats: dict[str, UnitStats]
-    ) -> tuple[GameState, MatchCounters]:
+    def resume(self) -> tuple[GameState, MatchCounters]:
         """The full state and counters as of before this entry's tick."""
-        state = restore_state(self.snapshot, stats)
+        state = restore_state(self.snapshot)
         state.tick = self.tick
         state.next_uid = self.next_uid
         counters = MatchCounters(
@@ -213,8 +209,8 @@ def play_match(
 ) -> MatchRecord:
     """Run both policies to elimination, a repeated state, or the tick limit.
 
-    With one-tick decision and move periods, a repeated full state implies
-    the remainder of the match repeats forever, so it ends early as a draw
+    With a one-tick decision period, a repeated full state implies the
+    remainder of the match repeats forever, so it ends early as a draw
     with ``fixed_point`` set. Decision entries record player 0's resolved
     assignments at each decision state (first occurrence only).
 
@@ -235,7 +231,7 @@ def play_match(
         if index == len(record.entries):
             return record
         entry = record.entries[index]
-        state = restore_state(entry.snapshot, initial.stats)
+        state = restore_state(entry.snapshot)
         joint0 = resolve_joint(program0, state, 0)
         following = [r for r in following if r.entries[index].actions == joint0]
         if following:
@@ -247,10 +243,8 @@ def play_match(
         state = initial.clone()
         counters = MatchCounters()
     else:
-        state, counters = entry.resume(initial.stats)
-    can_short_circuit = decision_period == 1 and all(
-        s.move_period == 1 for s in state.stats.values()
-    )
+        state, counters = entry.resume()
+    can_short_circuit = decision_period == 1
     # every tick is a decision tick when the short cut applies
     seen = {e.snapshot for e in entries} if can_short_circuit else set()
     joint0: dict[int, Action] = {}

@@ -27,10 +27,10 @@ per set of units and shared by both players; evaluation never changes it.
 Its lists ascend by id because ``GameState.units`` does, so nothing here
 sorts.
 
-Each (program, stat table) pair is lowered once to one generated Python
-function, cached for the program's lifetime. Under its table, every command
-runs only for the unit kinds that can carry it out (``train X``: kinds that
-train X; ``build X``: kinds that build X; ``attack`` and
+Each program is lowered once to one generated Python function, cached for
+the program's lifetime. Under the unit table, ``units.DEFAULT_STATS``, every
+command runs only for the unit kinds that can carry it out (``train X``:
+kinds that train X; ``build X``: kinds that build X; ``attack`` and
 ``attack_if_in_range``: kinds that can attack; ``harvest``: kinds that can
 harvest; ``moveToUnit`` and ``moveAway``: kinds that can move; ``idle``:
 every kind), since for any other kind it would be skipped anyway.
@@ -63,7 +63,7 @@ from .actions import (
     Action,
 )
 from .state import Cell, GameState, Unit
-from .units import BASE, UnitStats
+from .units import BASE, DEFAULT_STATS, UnitStats
 
 # direction -> grid delta; y grows downward
 _DELTAS = {"Up": (0, -1), "Right": (1, 0), "Down": (0, 1), "Left": (-1, 0)}
@@ -106,15 +106,15 @@ def _closest(unit: Unit, pool: list[Unit], limit: int) -> Unit | None:
     return best
 
 
-# selection criterion -> (stat table, chooser's x and y) -> sort key; ties go
-# to the lowest id. Built once rather than five closures per selection;
-# ``Closest`` is :func:`_closest`.
+# selection criterion -> chooser's x and y -> sort key; ties go to the
+# lowest id. Built once rather than five closures per selection; ``Closest``
+# is :func:`_closest`.
 _SELECT_KEYS = {
-    "Strongest": lambda stats, x, y: lambda v: (-stats[v.kind].attack_damage, v.uid),
-    "Weakest": lambda stats, x, y: lambda v: (stats[v.kind].attack_damage, v.uid),
-    "Farthest": lambda stats, x, y: lambda v: (-max(abs(x - v.x), abs(y - v.y)), v.uid),
-    "LessHealthy": lambda stats, x, y: lambda v: (v.hp, v.uid),
-    "MostHealthy": lambda stats, x, y: lambda v: (-v.hp, v.uid),
+    "Strongest": lambda x, y: lambda v: (-DEFAULT_STATS[v.kind].attack_damage, v.uid),
+    "Weakest": lambda x, y: lambda v: (DEFAULT_STATS[v.kind].attack_damage, v.uid),
+    "Farthest": lambda x, y: lambda v: (-max(abs(x - v.x), abs(y - v.y)), v.uid),
+    "LessHealthy": lambda x, y: lambda v: (v.hp, v.uid),
+    "MostHealthy": lambda x, y: lambda v: (-v.hp, v.uid),
 }
 
 # command verb -> its shared stand-still result
@@ -129,7 +129,6 @@ class _Context:
 
     def __init__(self, state: GameState, player: int):
         self.state = state
-        self.stats = state.stats
         self.width, self.height = state.width, state.height
         self.occupancy = state.occupancy
         self.player = player
@@ -230,10 +229,10 @@ class _Context:
             ids = tuple(u.uid for u in pool)
             idx = _stable_index((self.state.seed, unit.uid, ids), len(pool))
             return pool[idx]
-        return min(pool, key=_SELECT_KEYS[criterion](self.stats, unit.x, unit.y))
+        return min(pool, key=_SELECT_KEYS[criterion](unit.x, unit.y))
 
     def idle_resolution(self, unit: Unit) -> Action:
-        kind = self.stats[unit.kind]
+        kind = DEFAULT_STATS[unit.kind]
         if kind.can_attack:
             victim = _closest(unit, self.enemies, kind.attack_range + 1)
             if victim is not None:
@@ -256,7 +255,7 @@ def _within_distance(ctx: _Context, args: tuple) -> bool:
 
 
 def _kills_in_one(ctx: _Context, args: tuple) -> bool:
-    stats = ctx.stats
+    stats = DEFAULT_STATS
     return any(
         stats[mine.kind].can_attack
         and any(stats[mine.kind].attack_damage >= e.hp for e in ctx.enemies)
@@ -265,7 +264,7 @@ def _kills_in_one(ctx: _Context, args: tuple) -> bool:
 
 
 def _opponent_kills_in_one(ctx: _Context, args: tuple) -> bool:
-    stats = ctx.stats
+    stats = DEFAULT_STATS
     return any(
         stats[enemy.kind].can_attack
         and any(stats[enemy.kind].attack_damage >= m.hp for m in ctx.own)
@@ -274,7 +273,7 @@ def _opponent_kills_in_one(ctx: _Context, args: tuple) -> bool:
 
 
 def _in_opponent_range(ctx: _Context, args: tuple) -> bool:
-    stats = ctx.stats
+    stats = DEFAULT_STATS
     return any(
         chebyshev(mine.pos, enemy.pos) <= stats[enemy.kind].attack_range
         for mine in ctx.own
@@ -284,7 +283,7 @@ def _in_opponent_range(ctx: _Context, args: tuple) -> bool:
 
 
 def _opponent_in_player_range(ctx: _Context, args: tuple) -> bool:
-    stats = ctx.stats
+    stats = DEFAULT_STATS
     return any(
         chebyshev(mine.pos, enemy.pos) <= stats[mine.kind].attack_range
         for mine in ctx.own
@@ -330,7 +329,7 @@ def _spawn(cmd: Command, unit: Unit, ctx: _Context) -> None:
     have = ctx.own_counts.get(kind, 0) + ctx.pending_spawns.get(kind, 0)
     if have >= limit:
         return
-    cost = ctx.stats[kind].cost
+    cost = DEFAULT_STATS[kind].cost
     if ctx.state.player_resources[ctx.player] - ctx.committed_cost < cost:
         return
     cell = ctx.spawn_cell(unit, direction)
@@ -360,17 +359,15 @@ def _attack(cmd: Command, unit: Unit, ctx: _Context) -> None:
     victim = ctx.select(unit, ctx.enemies, cmd.args[0])
     if victim is None:
         return
-    mine = ctx.stats[unit.kind]
-    if chebyshev(unit.pos, victim.pos) <= mine.attack_range:
+    if chebyshev(unit.pos, victim.pos) <= DEFAULT_STATS[unit.kind].attack_range:
         ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack"))
-    elif mine.can_move:
-        _approach(unit, victim.pos, "attack", ctx)
     else:
-        ctx.assign(unit, _STANDS["attack"])
+        # every kind that can attack can move (a test pins this)
+        _approach(unit, victim.pos, "attack", ctx)
 
 
 def _attack_if_in_range(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    victim = _closest(unit, ctx.enemies, ctx.stats[unit.kind].attack_range + 1)
+    victim = _closest(unit, ctx.enemies, DEFAULT_STATS[unit.kind].attack_range + 1)
     if victim is None:
         return
     ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack_if_in_range"))
@@ -451,13 +448,13 @@ _KIND_GUARDS: dict[str, Callable[[str, UnitStats, tuple], bool]] = {
 
 
 # ---------------------------------------------------------------------------
-# code generation: each (program, stat table) pair is lowered once to one
-# Python function ``run(ctx)``
+# code generation: each program is lowered once to one Python function
+# ``run(ctx)``
 # ---------------------------------------------------------------------------
 #
 # Loops become nested ``for`` statements over ``ctx.own``, each with its own
 # loop variable. Every command is emitted behind a test that the bound
-# unit's kind is one that can carry it out under the table, and a command
+# unit's kind is one that can carry it out under the unit table, and a command
 # no kind can carry out is not emitted; a statement that emits nothing is
 # dropped. A loop with no inner loop skips assigned units, and once its
 # unit is assigned goes on to the next one: the rest of the body could only
@@ -474,14 +471,13 @@ _KIND_GUARDS: dict[str, Callable[[str, UnitStats, tuple], bool]] = {
 # nesting.
 
 _MAX_INDENT = 12
+_ALL_KINDS = frozenset(DEFAULT_STATS)
 
 
 class _Lowering:
-    """The Python source and namespace of one program under one table."""
+    """The Python source and namespace of one program."""
 
-    def __init__(self, stats: dict[str, UnitStats]):
-        self.stats = stats
-        self.all_kinds = frozenset(stats)
+    def __init__(self):
         self.namespace: dict[str, object] = {}
         self.functions: list[str] = []
         self.guard_keys: dict[BoolCall, int] = {}
@@ -544,12 +540,12 @@ class _Lowering:
             raise ValueError(f"unknown command {cmd.name!r}")
         run, carries = entry
         kinds = frozenset(
-            kind for kind, stats in self.stats.items() if carries(stats, cmd.args)
+            kind for kind, stats in DEFAULT_STATS.items() if carries(stats, cmd.args)
         )
         if not kinds:
             return []
         tests = [] if leaf else [f"{unit}.uid not in assigned"]
-        if kinds != self.all_kinds:
+        if kinds != _ALL_KINDS:
             tests.append(f"{unit}.kind in {self.bind(kinds)}")
         lines = []
         if tests:
@@ -630,7 +626,7 @@ class _Lowering:
         if holds is None:
             raise ValueError(f"unknown guard {name!r}")
         kinds = frozenset(
-            kind for kind, stats in self.stats.items() if holds(kind, stats, args)
+            kind for kind, stats in DEFAULT_STATS.items() if holds(kind, stats, args)
         )
         if not kinds:
             return None
@@ -640,10 +636,10 @@ class _Lowering:
         return [], condition
 
 
-def _generate(program: Program, stats: dict[str, UnitStats]) -> tuple[str, dict]:
-    """The source defining ``run(ctx)`` for ``program`` under ``stats``, and
-    the namespace it runs in."""
-    lowering = _Lowering(stats)
+def _generate(program: Program) -> tuple[str, dict]:
+    """The source defining ``run(ctx)`` for ``program``, and the namespace
+    it runs in."""
+    lowering = _Lowering()
     body = lowering.block(program.body, None, False, False, 1)
     lowering.define("run(ctx)", body or ["    pass"])
     return "\n\n".join(lowering.functions) + "\n", lowering.namespace
@@ -659,35 +655,30 @@ def _compile(source: str) -> CodeType:
     return compile(source, "<policy>", "exec")
 
 
-def _lower(program: Program, stats: dict[str, UnitStats]) -> _Run:
-    source, namespace = _generate(program, stats)
+def _lower(program: Program) -> _Run:
+    source, namespace = _generate(program)
     exec(_compile(source), namespace)
     return namespace["run"]
 
 
-# id(program) -> {id(table): (table, its function)}. A program's entry is
-# dropped when the program is freed, before its id can be reused; an inner
-# entry holds its table, so the table's id cannot be reused while it lives.
-# The functions read nothing but the program and the table, so sharing them
-# across callers and threads changes no result.
-_GENERATED: dict[int, dict[int, tuple[dict, _Run]]] = {}
+# id(program) -> its function. An entry is dropped when its program is
+# freed, before the id can be reused. The functions read nothing but their
+# program, so sharing them across callers and threads changes no result.
+_GENERATED: dict[int, _Run] = {}
 
 
-def _generated(program: Program, stats: dict[str, UnitStats]) -> _Run:
+def _generated(program: Program) -> _Run:
     key = id(program)
-    tables = _GENERATED.get(key)
-    if tables is None:
-        tables = _GENERATED[key] = {}
+    run = _GENERATED.get(key)
+    if run is None:
+        run = _GENERATED[key] = _lower(program)
         weakref.finalize(program, _GENERATED.pop, key, None)
-    entry = tables.get(id(stats))
-    if entry is None:
-        entry = tables[id(stats)] = (stats, _lower(program, stats))
-    return entry[1]
+    return run
 
 
 def _run(program: Program, state: GameState, player: int) -> _Context:
     ctx = _Context(state, player)
-    _generated(program, state.stats)(ctx)
+    _generated(program)(ctx)
     return ctx
 
 

@@ -1,11 +1,9 @@
 """Mutable game state, map loading, and state snapshots."""
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
-from pathlib import Path
 
-from .units import DEFAULT_STATS, RESOURCE, UnitStats
+from .units import DEFAULT_STATS, RESOURCE
 
 Cell = tuple[int, int]
 
@@ -95,14 +93,12 @@ class GameState:
         height: int,
         seed: int = 0,
         player_resources: tuple[int, int] = (0, 0),
-        stats: dict[str, UnitStats] | None = None,
     ):
         self.width = width
         self.height = height
         self.seed = seed
         self.tick = 0
         self.player_resources = [player_resources[0], player_resources[1]]
-        self.stats = stats if stats is not None else DEFAULT_STATS
         # ascending id order: ids come from ``next_uid``, which only grows,
         # and restore_state and clone insert in id order
         self.units: dict[int, Unit] = {}
@@ -134,7 +130,7 @@ class GameState:
             owner,
             x,
             y,
-            self.stats[kind].hp if hp is None else hp,
+            DEFAULT_STATS[kind].hp if hp is None else hp,
             carried,
             resources,
         )
@@ -162,9 +158,6 @@ class GameState:
     def is_free(self, cell: Cell) -> bool:
         return self.in_bounds(*cell) and cell not in self.occupancy
 
-    def player_units(self, player: int) -> list[Unit]:
-        return [u for u in self.units.values() if u.owner == player]
-
     def sides(self) -> Sides:
         if self._sides is None:
             self._sides = Sides(self.units.values())
@@ -189,7 +182,6 @@ class GameState:
             self.height,
             self.seed,
             (self.player_resources[0], self.player_resources[1]),
-            self.stats,
         )
         other.tick = self.tick
         other.next_uid = self.next_uid
@@ -200,16 +192,14 @@ class GameState:
         return other
 
 
-def restore_state(
-    snapshot: tuple, stats: dict[str, UnitStats] | None = None
-) -> GameState:
+def restore_state(snapshot: tuple) -> GameState:
     """Rebuild a state from :meth:`GameState.snapshot` output.
 
     Restored states are meant for policy re-evaluation, so their split is
     built here; the unit-id counter restarts above the highest live id.
     """
     width, height, seed, res0, res1, unit_tuples = snapshot
-    state = GameState(width, height, seed, (res0, res1), stats)
+    state = GameState(width, height, seed, (res0, res1))
     units = [Unit(*fields) for fields in unit_tuples]
     state.units = {unit.uid: unit for unit in units}
     state.occupancy = {(unit.x, unit.y): unit.uid for unit in units}
@@ -225,16 +215,10 @@ def restore_state(
 _OWNER_NAMES = {"P0": 0, "P1": 1, None: None}
 
 
-def state_from_map_dict(
-    data: dict, seed: int = 0, stats: dict[str, UnitStats] | None = None
-) -> GameState:
+def state_from_map_dict(data: dict, seed: int = 0) -> GameState:
     resources = data.get("player_resources", [0, 0])
     state = GameState(
-        data["width"],
-        data["height"],
-        seed,
-        (resources[0], resources[1]),
-        stats,
+        data["width"], data["height"], seed, (resources[0], resources[1])
     )
     for cell in data["cells"]:
         x, y = cell["pos"]
@@ -243,7 +227,3 @@ def state_from_map_dict(
             cell["kind"], owner, x, y, resources=cell.get("resources", 0)
         )
     return state
-
-
-def load_map(path: str | Path, seed: int = 0) -> GameState:
-    return state_from_map_dict(json.loads(Path(path).read_text()), seed)

@@ -1,7 +1,7 @@
-"""Unit kinds and combat statistics."""
+"""Unit kinds and their statistics: the simulator's one rule set."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 BASE = "Base"
 BARRACKS = "Barracks"
@@ -23,7 +23,6 @@ class UnitStats:
     can_move: bool = False
     can_attack: bool = False
     can_harvest: bool = False
-    move_period: int = 1
     builds: tuple[str, ...] = ()
     trains: tuple[str, ...] = ()
 
@@ -52,21 +51,3 @@ DEFAULT_STATS: dict[str, UnitStats] = {
     ),
     RESOURCE: UnitStats(hp=1, cost=0),
 }
-
-
-def load_stats(overrides: dict | None = None) -> dict[str, UnitStats]:
-    """The default stat table with optional per-kind field overrides.
-
-    ``overrides`` maps kind name to a dict of :class:`UnitStats` fields, e.g.
-    ``{"Heavy": {"hp": 8}}``.
-    """
-    stats = dict(DEFAULT_STATS)
-    for kind, fields in (overrides or {}).items():
-        if kind not in stats:
-            raise KeyError(f"unknown unit kind {kind!r}")
-        coerced = {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in fields.items()
-        }
-        stats[kind] = replace(stats[kind], **coerced)
-    return stats

@@ -1,12 +1,6 @@
-"""Source normalization, line measures, and nesting depth."""
+"""Source normalization and line measures."""
 
-from lintscore.microlang import (
-    line_count,
-    nesting_depth,
-    normalized_lines,
-    parse,
-    syntax_set,
-)
+from lintscore.microlang import line_count, normalized_lines, syntax_set
 from lintscore.microlang.analysis import normalize_line
 
 
@@ -46,31 +40,3 @@ class TestLineMeasures:
         a = syntax_set("u.train(Worker,Up,2)")
         b = syntax_set("  u.train( Worker ,Up, 2 ) ;")
         assert a == b
-
-
-class TestNestingDepth:
-    def test_empty_program(self):
-        assert nesting_depth(parse("")) == 0
-
-    def test_flat_commands(self):
-        assert nesting_depth(parse("u.idle()\ne")) == 0
-
-    def test_single_loop(self):
-        assert nesting_depth(parse("for(Unit u){ u.idle() }")) == 1
-
-    def test_nested_loops(self):
-        assert nesting_depth(parse("for(Unit u){ for(Unit u){} }")) == 2
-
-    def test_loops_inside_guards_count(self):
-        source = "if(u.canAttack()) then { for(Unit u){ for(Unit u){} } }"
-        assert nesting_depth(parse(source)) == 2
-
-    def test_else_branch_counts(self):
-        source = (
-            "if(u.canAttack()) then { u.idle() } "
-            "else { for(Unit u){} }"
-        )
-        assert nesting_depth(parse(source)) == 1
-
-    def test_tiered_fixture_depth(self, tiered):
-        assert nesting_depth(tiered) == 2

@@ -6,7 +6,6 @@ from lintscore.microlang import parse
 from lintscore.resources import data_path
 from lintscore.sim import (
     GameState,
-    load_map,
     play_match,
     snapshot_digest,
     state_from_map_dict,
@@ -141,7 +140,7 @@ class TestDeterminism:
 
     def test_load_map_round_trip(self):
         path = data_path("maps", "BaseWorkers-16x16A.json")
-        state = load_map(path, seed=2)
+        state = state_from_map_dict(json.loads(path.read_text()), seed=2)
         assert (state.width, state.height) == (16, 16)
         assert state.seed == 2
         assert state.player_resources == [5, 5]

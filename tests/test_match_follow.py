@@ -21,7 +21,6 @@ from lintscore.sim import (
     DecisionEntry,
     GameState,
     MatchRecord,
-    load_stats,
     play_match,
     state_from_map_dict,
 )
@@ -106,12 +105,12 @@ def pool_program(name: str):
     return parse(data_path("policies", "pool16", f"{name}.mrl").read_text())
 
 
-def gauntlet_match(program: str, opponent: str, stats=None, **limits):
+def gauntlet_match(program: str, opponent: str, **limits):
     """(p0, p1, initial, limits): a pool16 program against a standard-8
-    opponent from that opponent's initial state, under ``stats``."""
+    opponent from that opponent's initial state."""
     oset = fresh_set()
     index = int(opponent[1:]) - 1
-    initial = state_from_map_dict(oset.map_data, oset.seed + index, stats)
+    initial = state_from_map_dict(oset.map_data, oset.seed + index)
     limits = {"max_ticks": oset.max_ticks, **limits}
     return pool_program(program), oset.opponents[index].program, initial, limits
 
@@ -168,8 +167,8 @@ def ending(record: MatchRecord) -> str:
 # name -> (match, ending). Between them the cases spawn, harvest, drop
 # actions and kill the newest unit before the next spawn, so a resumed match
 # depends on every counter and on the unit-id counter. With a two-tick
-# decision or move period there is no fixed-point short cut; the shuttle
-# repeats a state from two ticks back.
+# decision period there is no fixed-point short cut; the shuttle repeats a
+# state from two ticks back.
 CASES = {
     "elimination": (lambda: gauntlet_match("p08", "o03"), "elimination"),
     "dropped-actions": (lambda: gauntlet_match("p13", "o10"), "elimination"),
@@ -180,15 +179,6 @@ CASES = {
     ),
     "decision-period-2": (
         lambda: gauntlet_match("p13", "o03", decision_period=2), "elimination"
-    ),
-    "move-period-2": (
-        lambda: gauntlet_match(
-            "p08",
-            "o04",
-            load_stats({"Worker": {"move_period": 2}, "Light": {"move_period": 2}}),
-            max_ticks=60,
-        ),
-        "tick limit",
     ),
 }
 

@@ -11,7 +11,6 @@ import threading
 import pytest
 
 from lintscore.metrics import (
-    AdmissionReport,
     BehaviorReport,
     OpponentSet,
     action_metric,
@@ -22,7 +21,6 @@ from lintscore.metrics import (
     mean_feature_vector,
     outcome_metric,
     standard_opponents,
-    validate_opponents,
 )
 from lintscore.metrics import behavior
 from lintscore.metrics.opponents import Opponent
@@ -34,6 +32,10 @@ ATTACK_ALL = "for(Unit u){ u.attack(Closest) }"
 PASSIVE_ALL = "for(Unit u){ u.moveToUnit(Ally,Closest) }"
 IDLE_ALL = "for(Unit u){ u.idle() }"
 HARVEST_ALL = "for(Unit u){ u.harvest(5) }"
+
+
+def outcomes(oset, program):
+    return tuple(record.outcome for record in oset.matches(program))
 
 
 def _mini_set(cells, sources, *, size=4, max_ticks=60):
@@ -212,10 +214,10 @@ class TestActionMetric:
 
 class TestOutcomeMetric:
     def test_mini_signatures(self, strong_set, weak_set):
-        assert strong_set.signature(parse(ATTACK_ALL)) == (1, 1)
-        assert strong_set.signature(parse(IDLE_ALL)) == (1, 1)
-        assert strong_set.signature(parse(PASSIVE_ALL)) == (0, 1)
-        assert weak_set.signature(parse(ATTACK_ALL)) == (-1, -1)
+        assert outcomes(strong_set, parse(ATTACK_ALL)) == (1, 1)
+        assert outcomes(strong_set, parse(IDLE_ALL)) == (1, 1)
+        assert outcomes(strong_set, parse(PASSIVE_ALL)) == (0, 1)
+        assert outcomes(weak_set, parse(ATTACK_ALL)) == (-1, -1)
 
     def test_equal_signatures_score_one(self, strong_set):
         # Distinct programs, same outcomes against both opponents.
@@ -241,8 +243,8 @@ class TestOutcomeMetric:
 
     def test_matches_manual_signature_agreement(self, pool8, oset8):
         programs = dict(pool8)
-        sig_a = oset8.signature(programs["q01"])
-        sig_b = oset8.signature(programs["q05"])
+        sig_a = outcomes(oset8, programs["q01"])
+        sig_b = outcomes(oset8, programs["q05"])
         expected = sum(a == b for a, b in zip(sig_a, sig_b)) / len(sig_a)
         assert outcome_metric(programs["q01"], programs["q05"], oset8) == expected
 
@@ -464,33 +466,15 @@ class TestOpponentSet:
         assert all(a is b for a, b in zip(first, second))
 
     def test_signature_shape(self, strong_set):
-        signature = strong_set.signature(parse(PASSIVE_ALL))
+        signature = outcomes(strong_set, parse(PASSIVE_ALL))
         assert len(signature) == len(strong_set)
         assert all(value in (-1, 0, 1) for value in signature)
 
 
 class TestAdmission:
-    def test_report_ok_property(self):
-        assert AdmissionReport([], []).ok
-        assert not AdmissionReport(["a"], []).ok
-        assert not AdmissionReport([], ["b"]).ok
-
-    def test_sweeper_flagged(self, strong_set):
-        report = validate_opponents(
-            {"sweep": parse(ATTACK_ALL), "mixed": parse(PASSIVE_ALL)}, strong_set
-        )
-        assert report.all_win == ["sweep"]
-        assert report.all_loss == []
-        assert not report.ok
-
-    def test_all_loss_flagged(self, weak_set):
-        report = validate_opponents({"swept": parse(ATTACK_ALL)}, weak_set)
-        assert report.all_loss == ["swept"]
-        assert not report.ok
-
-    def test_mixed_pool_passes(self, strong_set):
-        assert validate_opponents({"mixed": parse(PASSIVE_ALL)}, strong_set).ok
-
     def test_bundled_pool_has_varied_signatures(self, pool8, oset8):
-        report = validate_opponents(dict(pool8), oset8)
-        assert report.ok
+        # a program that sweeps or loses the whole gauntlet carries no
+        # information for the outcome metric
+        for name, program in pool8:
+            signature = set(outcomes(oset8, program))
+            assert signature != {1} and signature != {-1}, name

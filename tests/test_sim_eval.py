@@ -11,7 +11,6 @@ from lintscore.sim import (
     Action,
     GameState,
     evaluate_policy,
-    load_stats,
     resolve_joint,
 )
 from lintscore.sim.actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN
@@ -33,7 +32,7 @@ class TestPrioritiesAndWriteOnce:
         state.add_unit("Worker", 1, 7, 7)
         program = loop("u.idle()\nu.attack(Closest)")
         actions = evaluate_policy(program, state, 0)
-        base = state.player_units(0)[0]
+        base = state.sides().units[0][0]
         assert actions[base.uid].source == "idle"
 
     def test_units_iterate_in_ascending_uid_order(self):
@@ -63,7 +62,7 @@ class TestPrioritiesAndWriteOnce:
             "}"
         )
         actions = evaluate_policy(program, state, 0)
-        worker, base = state.player_units(0)[0], state.player_units(0)[1]
+        worker, base = state.sides().units[0]
         # the first loop trains a Worker (cost 1), leaving 4 < 5 for the
         # Barracks, so in the second loop the Worker falls through to harvest
         assert actions[base.uid].op == SPAWN
@@ -96,7 +95,7 @@ class TestPrioritiesAndWriteOnce:
         state.add_unit("Resource", None, 0, 0, resources=10)
         state.add_unit("Base", 1, 7, 7)
         program = loop("u.train(Heavy,EnemyDir,8)\nu.harvest(25)")
-        worker = state.player_units(0)[0]
+        worker = state.sides().units[0][0]
         actions = evaluate_policy(program, state, 0)
         assert actions[worker.uid].op == HARVEST
 
@@ -122,7 +121,7 @@ class TestTopLevelStatements:
         program = parse(
             "if(u.hasNumberOfUnits(Base,1)) then { for(Unit u){ u.idle() } }"
         )
-        base = state.player_units(0)[0]
+        base = state.sides().units[0][0]
         assert base.uid in evaluate_policy(program, state, 0)
 
     def test_empty_program_assigns_nothing(self):
@@ -173,7 +172,7 @@ class TestGuards:
             "}"
         )
         actions = evaluate_policy(program, state, 0)
-        uid = next(u.uid for u in state.player_units(0) if u.kind == kind)
+        uid = next(u.uid for u in state.sides().units[0] if u.kind == kind)
         return uid in actions
 
     def test_is_type_and_is_builder(self):
@@ -243,7 +242,7 @@ class TestGuards:
             "    }\n"
             "}"
         )
-        first, second = state.player_units(0)
+        first, second = state.sides().units[0]
         actions = evaluate_policy(program, state, 0)
         # the harvest cap of 1 leaves the second Worker unassigned; the
         # counter guard then sees one harvester and releases the second loop
@@ -257,7 +256,7 @@ class TestCommandResolution:
         state.add_unit("Heavy", 0, 2, 2)
         victim = state.add_unit("Worker", 1, 3, 3)
         actions = evaluate_policy(loop("u.attack(Closest)"), state, 0)
-        heavy = state.player_units(0)[0]
+        heavy = state.sides().units[0][0]
         assert actions[heavy.uid] == Action(ATTACK, target=victim.uid)
 
     def test_attack_out_of_range_moves_closer(self):
@@ -266,6 +265,13 @@ class TestCommandResolution:
         state.add_unit("Worker", 1, 5, 5)
         actions = evaluate_policy(loop("u.attack(Closest)"), state, 0)
         assert actions[heavy.uid] == Action(MOVE, cell=(1, 1))
+
+    def test_every_attacker_can_move(self):
+        # ``attack`` approaches an out-of-range victim with no check that the
+        # unit can move: an immobile attacker would need one
+        attackers = [kind for kind, stats in DEFAULT_STATS.items() if stats.can_attack]
+        assert attackers
+        assert all(DEFAULT_STATS[kind].can_move for kind in attackers)
 
     def test_attack_blocked_stands(self):
         state = grid()
@@ -282,7 +288,7 @@ class TestCommandResolution:
         state.add_unit("Ranged", 0, 0, 0)
         weak = state.add_unit("Worker", 1, 1, 0)  # damage 1, hp 1
         strong = state.add_unit("Heavy", 1, 0, 1)  # damage 4, hp 4
-        ranged = state.player_units(0)[0]
+        ranged = state.sides().units[0][0]
         strongest = evaluate_policy(loop("u.attack(Strongest)"), state, 0)
         assert strongest[ranged.uid].target == strong.uid
         weakest = evaluate_policy(loop("u.attack(Weakest)"), state, 0)
@@ -300,7 +306,7 @@ class TestCommandResolution:
             state.add_unit("Worker", 1, 0, 1),
             state.add_unit("Worker", 1, 1, 1),
         ]
-        ranged = state.player_units(0)[0]
+        ranged = state.sides().units[0][0]
         first = evaluate_policy(loop("u.attack(Random)"), state, 0)
         second = evaluate_policy(loop("u.attack(Random)"), state, 0)
         assert first == second
@@ -427,24 +433,7 @@ class TestIdleResolution:
 
 
 class TestGeneratedFunctions:
-    """Each (program, stat table) pair runs its own generated function."""
-
-    WORKERS_TRAIN_LIGHT = load_stats({"Worker": {"trains": ["Light"]}})
-
-    @pytest.mark.parametrize("custom_first", [True, False])
-    def test_one_program_under_two_tables(self, custom_first):
-        program = loop("u.train(Light,Up,1)")
-        tables = [self.WORKERS_TRAIN_LIGHT, DEFAULT_STATS]
-        for stats in tables if custom_first else tables[::-1]:
-            state = GameState(8, 8, player_resources=(5, 0), stats=stats)
-            worker = state.add_unit("Worker", 0, 2, 2)
-            state.add_unit("Worker", 1, 7, 7)
-            expected = (
-                {}
-                if stats is DEFAULT_STATS
-                else {worker.uid: Action(SPAWN, cell=(2, 1), unit_type="Light")}
-            )
-            assert evaluate_policy(program, state, 0) == expected
+    """Each program runs its own generated function."""
 
     def test_program_text_never_reaches_the_source(self):
         hostile = "Base')\n\"import os\nos.system('false')  # '''"
@@ -466,7 +455,7 @@ class TestGeneratedFunctions:
                 ),
             )
         )
-        source, _ = _generate(program, DEFAULT_STATS)
+        source, _ = _generate(program)
         assert "import" not in source and "system" not in source
         state = grid(resources=(20, 0))
         base = state.add_unit("Base", 0, 2, 2)

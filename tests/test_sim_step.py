@@ -1,12 +1,12 @@
 """Tick resolution: attack, harvest/deposit, move, and spawn phases."""
 
-from lintscore.sim import Action, GameState, load_stats, restore_state, step
+from lintscore.sim import Action, GameState, restore_state, step
 from lintscore.sim.actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN
 from lintscore.sim.engine import MatchCounters
 
 
-def grid(width=8, height=8, seed=0, resources=(0, 0), stats=None):
-    return GameState(width, height, seed=seed, player_resources=resources, stats=stats)
+def grid(width=8, height=8, seed=0, resources=(0, 0)):
+    return GameState(width, height, seed=seed, player_resources=resources)
 
 
 def run(state, actions):
@@ -183,17 +183,6 @@ class TestMovePhase:
         base = state.add_unit("Base", 0, 2, 2)
         run(state, {base.uid: Action(MOVE, cell=(3, 2))})
         assert base.pos == (2, 2)
-
-    def test_move_period_gates_every_other_tick(self):
-        stats = load_stats({"Heavy": {"move_period": 2}})
-        state = grid(stats=stats)
-        heavy = state.add_unit("Heavy", 0, 2, 2)
-        counters = MatchCounters()
-        step(state, {heavy.uid: Action(MOVE, cell=(3, 2))}, counters)
-        assert heavy.pos == (3, 2)  # tick 0 is a move tick
-        step(state, {heavy.uid: Action(MOVE, cell=(4, 2))}, counters)
-        assert heavy.pos == (3, 2)  # tick 1 is not
-        assert counters.dropped == 0
 
 
 class TestSpawnPhase:

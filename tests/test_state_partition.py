@@ -75,7 +75,7 @@ def test_live_states_evaluate_as_restored(pool16, monkeypatch):
     def differential(program, state, player):
         assert_in_order(state)
         live = resolve(program, state, player)
-        restored = restore_state(state.snapshot(), state.stats)
+        restored = restore_state(state.snapshot())
         assert rows(live) == rows(resolve(program, restored, player))
         players.append(player)
         return live
@@ -127,11 +127,11 @@ def test_order_and_split_through_spawn_death_and_depletion():
     assert spawned.pos == (1, 0) and spawned in state.sides().units[0]
     assert_in_order(state)
 
-    copies = [state.clone(), restore_state(state.snapshot(), state.stats)]
+    copies = [state.clone(), restore_state(state.snapshot())]
     entry = DecisionEntry(
         state.snapshot(), {}, state.tick, state.next_uid, *counters.frozen()
     )
-    copies.append(entry.resume(state.stats)[0])
+    copies.append(entry.resume()[0])
     for copy in copies:
         assert_in_order(copy)
         assert copy.snapshot() == state.snapshot()
