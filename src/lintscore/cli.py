@@ -295,7 +295,11 @@ def obfuscate_cmd(source, level, verify, opponents):
 @click.option("--literal-min", is_flag=True,
               help="Aggregate the feature metric with min instead of max.")
 @click.option("--per-unit", is_flag=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Programs whose provider calls are in flight at once. "
+                   "Simulation uses every CPU the process may run on "
+                   "(taskset -c 0 pins it to one); results are identical "
+                   "either way.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Write per-program LintRun JSON files here.")
 @click.pass_context

@@ -18,17 +18,19 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .metrics.baselines import closest_feature, closest_syntax, rand_index
-from .metrics.behavior import compare
+from .metrics.behavior import compare, compare_all
 from .metrics.opponents import OpponentSet, standard_opponents
 from .microlang import ParseError, Program, parse, print_program
 from .obfuscate import obfuscate
 from .pipeline import (
     LintRun,
     kshot_baseline,
+    kshot_samples,
     lint_score,
     load_bundle,
     load_map_description,
     make_provider,
+    measure_samples,
 )
 from .resources import data_path, policy_sources
 
@@ -428,33 +430,46 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if key not in cfg.baselines:
             continue
         label = BASELINE_LABELS[key]
-        details: list[dict] = []
-        metric_values: dict[str, list[float]] = {m: [] for m in METRIC_COLUMNS}
-        for index, (ident, program) in enumerate(programs):
-            if key == "kshot":
-                result = kshot_baseline(
-                    map_description,
-                    bundle,
-                    provider,
-                    cfg.k,
-                    program,
-                    oset,
-                    per_unit=cfg.per_unit,
-                )
-                report = result.report
-                selected = f"trial-{result.best_trial}"
-            else:
+        # every program's pick (or k-shot samples) first, then one
+        # measurement of the whole row, then the row in program order
+        if key == "kshot":
+            samples = [
+                kshot_samples(map_description, bundle, provider, cfg.k, program)
+                for _, program in programs
+            ]
+            measure_samples(
+                [(program, drawn) for (_, program), drawn in zip(programs, samples)],
+                oset,
+                cfg.per_unit,
+            )
+            rows = []
+            for (ident, program), drawn in zip(programs, samples):
+                result = kshot_baseline(drawn, program, oset, per_unit=cfg.per_unit)
+                rows.append((ident, f"trial-{result.best_trial}", result.report))
+        else:
+            picks = []
+            for index, (ident, program) in enumerate(programs):
                 pick_index, pool = _select_baseline(
                     key, index, programs, pool_other, oset, cfg.seed, ident
                 )
-                selected, other = pool[pick_index]
-                report = compare(program, other, oset, per_unit=cfg.per_unit)
-            details.append(
-                {"program_id": ident, "selected": selected, **report.as_dict()}
-            )
-            for metric in METRIC_COLUMNS:
-                metric_values[metric].append(getattr(report, metric))
-        values[label] = metric_values
+                picks.append(pool[pick_index])
+            pairs = [
+                (program, other)
+                for (_, program), (_, other) in zip(programs, picks)
+            ]
+            compare_all(pairs, oset, cfg.per_unit)
+            rows = [
+                (ident, selected, compare(program, other, oset, per_unit=cfg.per_unit))
+                for (ident, program), (selected, other) in zip(programs, picks)
+            ]
+        details = [
+            {"program_id": ident, "selected": selected, **report.as_dict()}
+            for ident, selected, report in rows
+        ]
+        values[label] = {
+            metric: [getattr(report, metric) for _, _, report in rows]
+            for metric in METRIC_COLUMNS
+        }
         baseline_details[label] = details
         order.append(label)
 

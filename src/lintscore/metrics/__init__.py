@@ -7,8 +7,10 @@ from .baselines import (
 )
 from .behavior import (
     BehaviorReport,
+    ShardError,
     action_metric,
     compare,
+    compare_all,
     decision_states,
     feature_distance,
     feature_metric,
@@ -35,10 +37,12 @@ __all__ = [
     "IoReport",
     "Opponent",
     "OpponentSet",
+    "ShardError",
     "action_metric",
     "closest_feature",
     "closest_syntax",
     "compare",
+    "compare_all",
     "decision_states",
     "feature_distance",
     "feature_metric",

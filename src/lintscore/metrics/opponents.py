@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import json
+import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,7 +32,12 @@ class OpponentSet:
     played against it for as long as it repeats one of them (see
     :func:`play_match`), so a shared match is simulated and stored once.
     Behavior reports are kept the same way, per (π text, other text,
-    ``per_unit``), so :func:`~.behavior.compare` measures each pair once.
+    ``per_unit``), so :func:`~.behavior.compare_all` measures each pair once.
+
+    Each opponent's matches depend on no other opponent's, so
+    :meth:`play` works one opponent at a time and may run in a forked
+    process (:meth:`pack`, :meth:`unpack`); :meth:`store` then keeps the
+    results in the order one process would have.
     """
 
     def __init__(
@@ -56,6 +62,8 @@ class OpponentSet:
         self._keys: dict[int, str] = {}
         # pair_key(pi, other, per_unit) -> compare's report for that pair
         self.reports: dict[tuple[str, str, bool], BehaviorReport] = {}
+        # held from play to store, so threads sharing the set take turns
+        self.lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.opponents)
@@ -78,16 +86,29 @@ class OpponentSet:
 
     def matches(self, program: Program) -> list[MatchRecord]:
         """One record per opponent, evaluated policy playing as player 0."""
-        key_text = self._key_text(program)
+        programs = [(self._key_text(program), program)]
+        with self.lock:
+            results = [self.play(index, programs) for index in range(len(self))]
+            self.store(programs, results)
+        return [records[0] for _, records in results]
+
+    def play(
+        self, index: int, programs: list[tuple[str, Program]]
+    ) -> tuple[list[MatchRecord], list[MatchRecord]]:
+        """The records of distinct (canonical text, program) pairs against
+        opponent ``index``, playing the missing ones in order, each following
+        the records played before it; nothing is stored (see :meth:`store`).
+
+        Returns the new distinct records and one record per program.
+        """
+        played = list(self._played[index])
         records = []
-        for index, opponent in enumerate(self.opponents):
-            key = (key_text, index)
-            record = self._cache.get(key)
+        for text, program in programs:
+            record = self._cache.get((text, index))
             if record is None:
-                played = self._played[index]
                 record = play_match(
                     program,
-                    opponent.program,
+                    self.opponents[index].program,
                     self.initial_state(index),
                     max_ticks=self.max_ticks,
                     decision_period=self.decision_period,
@@ -95,9 +116,58 @@ class OpponentSet:
                 )
                 if all(r is not record for r in played):
                     played.append(record)
-                self._cache[key] = record
             records.append(record)
-        return records
+        return played[len(self._played[index]):], records
+
+    def store(
+        self,
+        programs: list[tuple[str, Program]],
+        results: list[tuple[list[MatchRecord], list[MatchRecord]]],
+    ) -> None:
+        """Keep what :meth:`play` returned for ``programs``, one result per
+        opponent, in the order that playing one program at a time keeps it."""
+        for played, (new, _) in zip(self._played, results):
+            played.extend(new)
+        for position, (text, _) in enumerate(programs):
+            for index, (_, records) in enumerate(results):
+                self._cache.setdefault((text, index), records[position])
+
+    def pack(
+        self, index: int, new: list[MatchRecord], records: list[MatchRecord]
+    ) -> tuple[list[MatchRecord], list[int]]:
+        """A result of :meth:`play` for a process that holds this set as it
+        was before the play: records and entries that it already holds are
+        sent as positions, record ``r`` and entry ``(r, e)`` of
+        ``_played[index]``.  Records of one opponent share entries with no
+        other opponent's."""
+        prior = self._played[index]
+        entry_at: dict[int, tuple[int, int]] = {}
+        for r, record in enumerate(prior):
+            for e, entry in enumerate(record.entries):
+                entry_at.setdefault(id(entry), (r, e))
+        record_at = {id(record): r for r, record in enumerate(prior + new)}
+        packed = [
+            replace(
+                record,
+                entries=[entry_at.get(id(entry), entry) for entry in record.entries],
+            )
+            for record in new
+        ]
+        return packed, [record_at[id(record)] for record in records]
+
+    def unpack(
+        self, index: int, packed: tuple[list[MatchRecord], list[int]]
+    ) -> tuple[list[MatchRecord], list[MatchRecord]]:
+        """The result that :meth:`pack` turned into ``packed``."""
+        new, positions = packed
+        prior = self._played[index]
+        for record in new:
+            record.entries = [
+                prior[entry[0]].entries[entry[1]] if type(entry) is tuple else entry
+                for entry in record.entries
+            ]
+        played = prior + new
+        return new, [played[r] for r in positions]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OpponentSet":

@@ -8,11 +8,12 @@ fail contributes the worst possible values rather than aborting the batch.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from ..metrics.behavior import BehaviorReport, compare
+from ..metrics.behavior import BehaviorReport, compare, compare_all
 from ..metrics.opponents import OpponentSet
 from ..microlang import ParseError, Program, parse, print_program
 from .prompts import PromptBundle, extract_tag
@@ -292,20 +293,45 @@ def score_program(
     literal_min: bool = False,
     per_unit: bool = False,
 ) -> LintRun:
-    """Run the full explain/verify/reconstruct/score loop for one program.
+    """Run the full explain/verify/reconstruct/score loop for one program:
+    :func:`lint_score` of that program alone.
 
     Failures (provider errors, verifier exhaustion) are recorded on the run
     and scored as worst-case rather than raised, so a batch never aborts on
     one bad program.
     """
 
-    source = print_program(program)
+    _, runs = lint_score(
+        [(program_id, program)],
+        oset,
+        bundle,
+        provider,
+        k=k,
+        max_retries=max_retries,
+        literal_min=literal_min,
+        per_unit=per_unit,
+    )
+    return runs[0]
+
+
+def _draw(
+    program: Program,
+    program_id: str,
+    oset: OpponentSet,
+    bundle: PromptBundle,
+    provider: Provider,
+    k: int,
+    max_retries: int,
+    literal_min: bool,
+) -> tuple[LintRun, list[Program | str]]:
+    """Every provider call for one program: its run, with no trials scored
+    yet, and its reconstruction samples (none without an explanation)."""
+
     tracker = _Tracker(provider)
-    live = provider.kind == "http"
-    started = _now() if live else None
+    started = _now() if provider.kind == "http" else None
     explanation: str | None = None
     verdicts: list[Verdict] = []
-    trials: list[Trial] = []
+    samples: list[Program | str] = []
     error: str | None = None
 
     try:
@@ -317,13 +343,8 @@ def score_program(
         error = str(exc)
     except ProviderError as exc:
         error = f"provider error: {exc}"
-
     if explanation is not None:
         samples = reconstruct(explanation, bundle, tracker, k)
-        trials = _score_samples(program, samples, oset, per_unit)
-        aggregated = aggregate_trials(trials, literal_min=literal_min)
-    else:
-        aggregated = dict(WORST)
 
     provenance = {
         "provider": provider.kind,
@@ -333,18 +354,38 @@ def score_program(
         "literal_min": literal_min,
         "opponents": oset.name,
         "started_at": started,
-        "finished_at": _now() if live else None,
+        "finished_at": None,
         "cache_keys": tracker.keys,
     }
     return LintRun(
         program_id=program_id,
-        source=source,
+        source=print_program(program),
         explanation=explanation,
         verdicts=verdicts,
-        trials=trials,
-        aggregated=aggregated,
+        trials=[],
+        aggregated=dict(WORST),
         error=error,
         provenance=provenance,
+    ), samples
+
+
+def measure_samples(
+    batch: Iterable[tuple[Program, list[Program | str]]],
+    oset: OpponentSet,
+    per_unit: bool = False,
+) -> None:
+    """Measure every parsed sample against its π in one :func:`compare_all`
+    batch, so that scoring the samples afterwards only reads reports."""
+
+    compare_all(
+        [
+            (pi, sample)
+            for pi, samples in batch
+            for sample in samples
+            if not isinstance(sample, str)
+        ],
+        oset,
+        per_unit,
     )
 
 
@@ -362,9 +403,13 @@ def lint_score(
 ) -> tuple[dict[str, float], list[LintRun]]:
     """LINT score of a program set: mean aggregated value per metric.
 
-    Programs are independent work items; with ``workers`` > 1 they run on a
-    bounded thread pool (results keep input order), while trials within one
-    program always run sequentially against the provider.
+    Three phases: every program's provider calls (explain, verify,
+    reconstruct), with up to ``workers`` programs' calls in flight at once
+    on threads and each program's trials in sequence; one
+    :func:`compare_all` batch over every (π, trial) pair, whose simulation
+    uses every CPU this process may run on (``taskset -c 0`` pins it to one
+    shard); then trials and aggregates, in input order.  Results are
+    identical at any ``workers`` and any CPU count.
     """
 
     if not programs:
@@ -372,25 +417,32 @@ def lint_score(
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    def work(item: tuple[str, Program]) -> LintRun:
+    def draw(item: tuple[str, Program]) -> tuple[LintRun, list[Program | str]]:
         ident, program = item
-        return score_program(
-            program,
-            ident,
-            oset,
-            bundle,
-            provider,
-            k=k,
-            max_retries=max_retries,
-            literal_min=literal_min,
-            per_unit=per_unit,
+        return _draw(
+            program, ident, oset, bundle, provider, k, max_retries, literal_min
         )
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(work, programs))
+            drawn = list(pool.map(draw, programs))
     else:
-        runs = [work(item) for item in programs]
+        drawn = [draw(item) for item in programs]
+
+    measure_samples(
+        ((program, samples) for (_, program), (_, samples) in zip(programs, drawn)),
+        oset,
+        per_unit,
+    )
+
+    runs = []
+    for (_, program), (run, samples) in zip(programs, drawn):
+        if run.explanation is not None:
+            run.trials = _score_samples(program, samples, oset, per_unit)
+            run.aggregated = aggregate_trials(run.trials, literal_min=literal_min)
+        if provider.kind == "http":
+            run.provenance["finished_at"] = _now()
+        runs.append(run)
 
     score = {
         metric: sum(run.aggregated[metric] for run in runs) / len(runs)
@@ -399,29 +451,36 @@ def lint_score(
     return score, runs
 
 
-def kshot_baseline(
+def kshot_samples(
     map_description: str,
     bundle: PromptBundle,
     provider: Provider,
     k: int,
     pi: Program,
+) -> list[Program | str]:
+    """k programs sampled from the map description alone, for comparison
+    with ``pi`` (see ``_sample``)."""
+
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    prompt = bundle.render_kshot(map_description)
+    return _sample("kshot", prompt, provider, k, program_source=print_program(pi))
+
+
+def kshot_baseline(
+    samples: list[Program | str],
+    pi: Program,
     oset: OpponentSet,
     *,
     per_unit: bool = False,
 ) -> KshotResult:
-    """Best of k programs sampled from the map description alone.
+    """Best of the k-shot samples of ``pi`` (see :func:`kshot_samples`).
 
     Each sample is compared against ``pi``; the best trial is the one with
     the highest (action, outcome) and lowest feature distance, earliest trial
     winning ties.  Failed samples score worst-case.
     """
 
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    prompt = bundle.render_kshot(map_description)
-    samples = _sample(
-        "kshot", prompt, provider, k, program_source=print_program(pi)
-    )
     trials = _score_samples(pi, samples, oset, per_unit)
     best = min(trials, key=lambda t: (-t.action, -t.outcome, t.feature, t.trial))
     return KshotResult(

@@ -131,7 +131,6 @@ class _Context:
         self.state = state
         self.width, self.height = state.width, state.height
         self.occupancy = state.occupancy
-        self.player = player
         sides = state.sides()
         self.own = sides.units[player]
         self.enemies = sides.units[1 - player]
@@ -142,7 +141,8 @@ class _Context:
         self.assigned: dict[int, Action] = {}
         self.attacking = 0
         self.harvesting = 0
-        self.committed_cost = 0
+        # resources left after the spawns assigned so far
+        self.funds = state.player_resources[player]
         self.pending_spawns: dict[str, int] = {}
         self.reserved: set[Cell] = set()
         # state-only guard values computed so far at this decision point, by
@@ -325,17 +325,12 @@ _UNIT_GATED = frozenset(
 
 
 def _spawn(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    kind, direction, limit = cmd.args
-    have = ctx.own_counts.get(kind, 0) + ctx.pending_spawns.get(kind, 0)
-    if have >= limit:
-        return
-    cost = DEFAULT_STATS[kind].cost
-    if ctx.state.player_resources[ctx.player] - ctx.committed_cost < cost:
-        return
+    # the generated code has checked the count limit and the funds
+    kind, direction, _ = cmd.args
     cell = ctx.spawn_cell(unit, direction)
     if cell is None:
         return
-    ctx.committed_cost += cost
+    ctx.funds -= DEFAULT_STATS[kind].cost
     ctx.pending_spawns[kind] = ctx.pending_spawns.get(kind, 0) + 1
     ctx.reserved.add(cell)
     ctx.assign(unit, Action(SPAWN, cell=cell, unit_type=kind, source=cmd.name))
@@ -456,7 +451,8 @@ _KIND_GUARDS: dict[str, Callable[[str, UnitStats, tuple], bool]] = {
 # loop variable. Every command is emitted behind a test that the bound
 # unit's kind is one that can carry it out under the unit table, and a command
 # no kind can carry out is not emitted; a statement that emits nothing is
-# dropped. A loop with no inner loop skips assigned units, and once its
+# dropped. A ``train`` or ``build`` also tests its count limit and the funds
+# left, which change only when a spawn is assigned. A loop with no inner loop skips assigned units, and once its
 # unit is assigned goes on to the next one: the rest of the body could only
 # skip that unit. In a loop with an inner loop, ``u`` is rebound, so each
 # command tests that its unit is still unassigned. The function returns as
@@ -547,6 +543,13 @@ class _Lowering:
         tests = [] if leaf else [f"{unit}.uid not in assigned"]
         if kinds != _ALL_KINDS:
             tests.append(f"{unit}.kind in {self.bind(kinds)}")
+        if run is _spawn:
+            kind = self.bind(cmd.args[0])
+            tests += [
+                f"ctx.own_counts.get({kind}, 0) + ctx.pending_spawns.get({kind}, 0)"
+                f" < {self.bind(cmd.args[2])}",
+                f"ctx.funds >= {self.bind(DEFAULT_STATS[cmd.args[0]].cost)}",
+            ]
         lines = []
         if tests:
             lines.append(f"{pad}if {' and '.join(tests)}:")

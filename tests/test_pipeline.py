@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lintscore.metrics import compare
+from lintscore.metrics import OpponentSet, compare
 from lintscore.microlang import Program, parse, print_program
 from lintscore.pipeline import (
     CachingProvider,
@@ -21,6 +21,7 @@ from lintscore.pipeline import (
     aggregate_trials,
     explain,
     kshot_baseline,
+    kshot_samples,
     lint_score,
     parse_verdict,
     reconstruct,
@@ -29,6 +30,7 @@ from lintscore.pipeline import (
 )
 from lintscore.pipeline.mocks import ACCEPT_RESPONSE
 from lintscore.pipeline.runner import WORST, _score_samples
+from lintscore.resources import data_path
 
 from sample_texts import (
     CLEAN_EXPLANATION,
@@ -415,18 +417,25 @@ class TestLintScore:
             sum(r.feature for r in reports) / len(reports)
         )
 
-    def test_thread_pool_preserves_order_and_score(self, bundle, pool8, oset8):
+    def test_thread_pool_preserves_order_and_score(self, bundle, pool8):
+        """Threads only carry provider calls: every run's bytes and the
+        matches each opponent keeps equal the serial run's."""
         subset = pool8[:4]
-        serial_score, serial_runs = lint_score(
-            subset, oset8, bundle, EchoProvider(), k=1
-        )
-        pooled_score, pooled_runs = lint_score(
-            subset, oset8, bundle, EchoProvider(), k=1, workers=4
-        )
-        assert pooled_score == serial_score
-        assert [r.program_id for r in pooled_runs] == [
-            r.program_id for r in serial_runs
-        ]
+        outputs = {}
+        for workers in (1, 4):
+            oset = OpponentSet.from_file(data_path("opponents8.json"))
+            score, runs = lint_score(
+                subset, oset, bundle, LineDropProvider(q=0.3, seed=2), k=2,
+                workers=workers,
+            )
+            assert [run.program_id for run in runs] == [i for i, _ in subset]
+            outputs[workers] = (
+                score,
+                [json.dumps(run.to_json(), sort_keys=True) for run in runs],
+                [len(played) for played in oset._played],
+                oset.reports,
+            )
+        assert outputs[4] == outputs[1]
 
     def test_rejects_empty_inputs(self, bundle, oset8):
         with pytest.raises(ValueError):
@@ -439,9 +448,8 @@ class TestLintScore:
 
 class TestKshotBaseline:
     def test_echo_is_reflexive(self, bundle, tiered, oset8):
-        result = kshot_baseline(
-            "a small map", bundle, EchoProvider(), 3, tiered, oset8
-        )
+        samples = kshot_samples("a small map", bundle, EchoProvider(), 3, tiered)
+        result = kshot_baseline(samples, tiered, oset8)
         assert (
             result.report.action,
             result.report.outcome,
@@ -453,9 +461,8 @@ class TestKshotBaseline:
     def test_empty_provider_matches_compare(
         self, bundle, tiered, empty_program, oset8
     ):
-        result = kshot_baseline(
-            "a small map", bundle, EmptyProvider(), 2, tiered, oset8
-        )
+        samples = kshot_samples("a small map", bundle, EmptyProvider(), 2, tiered)
+        result = kshot_baseline(samples, tiered, oset8)
         report = compare(tiered, empty_program, oset8)
         assert result.report.action == pytest.approx(report.action)
         assert result.report.feature == pytest.approx(report.feature)
@@ -471,7 +478,8 @@ class TestKshotBaseline:
                 ]
             }
         )
-        result = kshot_baseline("map", bundle, provider, 3, tiered, oset8)
+        samples = kshot_samples("map", bundle, provider, 3, tiered)
+        result = kshot_baseline(samples, tiered, oset8)
         assert result.best_trial == 2
         assert result.report.action == 1.0
         assert result.trials[0].error is not None
@@ -479,12 +487,13 @@ class TestKshotBaseline:
     def test_tie_goes_to_earliest_trial(self, bundle, tiered, oset8):
         perfect = print_program(tiered)
         provider = ScriptedProvider({"kshot": wrap("strategy", perfect)})
-        result = kshot_baseline("map", bundle, provider, 3, tiered, oset8)
+        samples = kshot_samples("map", bundle, provider, 3, tiered)
+        result = kshot_baseline(samples, tiered, oset8)
         assert result.best_trial == 0
 
     def test_rejects_non_positive_k(self, bundle, tiered, oset8):
         with pytest.raises(ValueError):
-            kshot_baseline("map", bundle, EchoProvider(), 0, tiered, oset8)
+            kshot_samples("map", bundle, EchoProvider(), 0, tiered)
 
 
 class TestLineDropProvider:
