@@ -18,9 +18,9 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .metrics.baselines import closest_feature, closest_syntax, rand_index
-from .metrics.behavior import compare, compare_all
+from .metrics.behavior import compare, compare_all, mean_feature_vector
 from .metrics.opponents import OpponentSet, standard_opponents
-from .microlang import ParseError, Program, parse, print_program
+from .microlang import ParseError, Program, parse, print_program, syntax_set
 from .obfuscate import obfuscate
 from .pipeline import (
     LintRun,
@@ -32,7 +32,7 @@ from .pipeline import (
     make_provider,
     measure_samples,
 )
-from .resources import data_path, policy_sources
+from .resources import ConfigError, data_path, policy_sources
 
 METRIC_COLUMNS = ("action", "outcome", "feature")
 METRIC_DIRECTION = {"action": "up", "outcome": "up", "feature": "down"}
@@ -50,10 +50,6 @@ _DEFAULT_MAP_DESCRIPTION = {
     "standard-16": "BaseWorkers-16x16A",
     "standard-8": "BaseWorkers-8x8",
 }
-
-
-class ConfigError(ValueError):
-    """The experiment configuration is invalid."""
 
 
 @dataclass
@@ -447,12 +443,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 result = kshot_baseline(drawn, program, oset, per_unit=cfg.per_unit)
                 rows.append((ident, f"trial-{result.best_trial}", result.report))
         else:
-            picks = []
-            for index, (ident, program) in enumerate(programs):
-                pick_index, pool = _select_baseline(
-                    key, index, programs, pool_other, oset, cfg.seed, ident
-                )
-                picks.append(pool[pick_index])
+            picks = _select_baseline(key, programs, pool_other, oset, cfg.seed)
             pairs = [
                 (program, other)
                 for (_, program), (_, other) in zip(programs, picks)
@@ -482,31 +473,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _select_baseline(
     key: str,
-    index: int,
     programs: list[tuple[str, Program]],
     pool_other: list[tuple[str, Program]] | None,
     oset: OpponentSet,
     seed: int,
-    ident: str,
-) -> tuple[int, list[tuple[str, Program]]]:
-    """Pick the comparison program for one baseline row and one program.
+) -> list[tuple[str, Program]]:
+    """Pick the comparison program of every program for one baseline row.
 
     Same-pool baselines (rand, closest-*) never select the program itself.
+    The closest-* rows key each program once, by its syntax set or its mean
+    feature vector, and pick among the other programs' keys.
     """
 
-    if key == "rand":
-        rng = _program_rng(seed, key, ident)
-        return rand_index(rng, len(programs), exclude=index), programs
-    if key == "rand-other":
-        rng = _program_rng(seed, key, ident)
-        return rand_index(rng, len(pool_other)), pool_other
-    others = [item for i, item in enumerate(programs) if i != index]
+    if key in ("rand", "rand-other"):
+        pool = programs if key == "rand" else pool_other
+        picks = []
+        for index, (ident, _) in enumerate(programs):
+            rng = _program_rng(seed, key, ident)
+            exclude = index if key == "rand" else None
+            picks.append(pool[rand_index(rng, len(pool), exclude=exclude)])
+        return picks
     if key == "closest-syntax":
-        sources = [print_program(program) for _, program in others]
-        target = print_program(programs[index][1])
-        return closest_syntax(target, sources), others
-    if key == "closest-feature":
-        pool_programs = [program for _, program in others]
-        pick = closest_feature(programs[index][1], pool_programs, oset)
-        return pick, others
-    raise ConfigError(f"unknown baseline {key!r}")
+        keys = [syntax_set(print_program(program)) for _, program in programs]
+        closest = closest_syntax
+    elif key == "closest-feature":
+        keys = [mean_feature_vector(program, oset) for _, program in programs]
+        closest = closest_feature
+    else:
+        raise ConfigError(f"unknown baseline {key!r}")
+    picks = []
+    for index in range(len(programs)):
+        others = programs[:index] + programs[index + 1:]
+        picks.append(others[closest(keys[index], keys[:index] + keys[index + 1:])])
+    return picks

@@ -5,10 +5,6 @@ from __future__ import annotations
 import math
 import random
 
-from ..microlang import Program, syntax_set
-from .behavior import mean_feature_vector
-from .opponents import OpponentSet
-
 
 def select_policy_indices(pool_size: int, count: int) -> list[int]:
     """``count`` indices evenly spread over ``range(pool_size)``, endpoints
@@ -26,27 +22,26 @@ def rand_index(rng: random.Random, pool_size: int, exclude: int | None = None) -
     return rng.choice(choices)
 
 
-def closest_syntax(target_source: str, pool_sources: list[str]) -> int:
-    """Index of the pool program sharing the most distinct normalized lines
-    with the target; ties go to the lowest index."""
-    target = syntax_set(target_source)
+def closest_syntax(target: frozenset[str], pool: list[frozenset[str]]) -> int:
+    """Index of the pool syntax set (:func:`~lintscore.microlang.syntax_set`)
+    sharing the most distinct normalized lines with the target's; ties go to
+    the lowest index."""
     best, best_overlap = 0, -1
-    for index, source in enumerate(pool_sources):
-        overlap = len(target & syntax_set(source))
+    for index, lines in enumerate(pool):
+        overlap = len(target & lines)
         if overlap > best_overlap:
             best, best_overlap = index, overlap
     return best
 
 
 def closest_feature(
-    target: Program, pool: list[Program], oset: OpponentSet
+    anchor: tuple[float, ...], pool: list[tuple[float, ...]]
 ) -> int:
-    """Index of the pool program with the nearest mean feature vector
-    (Euclidean); ties go to the lowest index."""
-    anchor = mean_feature_vector(target, oset)
+    """Index of the pool mean feature vector
+    (:func:`~.behavior.mean_feature_vector`) nearest the anchor (Euclidean);
+    ties go to the lowest index."""
     best, best_dist = 0, math.inf
-    for index, program in enumerate(pool):
-        vec = mean_feature_vector(program, oset)
+    for index, vec in enumerate(pool):
         dist = math.dist(anchor, vec)
         if dist < best_dist:
             best, best_dist = index, dist

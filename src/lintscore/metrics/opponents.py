@@ -8,12 +8,22 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..microlang import Program, parse, print_program
-from ..resources import data_path
+from ..microlang import ParseError, Program, parse, print_program
+from ..resources import ConfigError, data_path
 from ..sim import GameState, MatchRecord, play_match, state_from_map_dict
 
 if TYPE_CHECKING:
     from .behavior import BehaviorReport
+
+
+# the keys an opponent-set descriptor may have, and their JSON types
+_DESCRIPTOR_KEYS = {
+    "name": str,
+    "map": str,
+    "programs": list,
+    "seed": int,
+    "max_ticks": int,
+}
 
 
 @dataclass(frozen=True)
@@ -47,14 +57,12 @@ class OpponentSet:
         map_data: dict,
         seed: int = 0,
         max_ticks: int = 400,
-        decision_period: int = 1,
     ):
         self.name = name
         self.opponents = opponents
         self.map_data = map_data
         self.seed = seed
         self.max_ticks = max_ticks
-        self.decision_period = decision_period
         self._cache: dict[tuple[str, int], MatchRecord] = {}
         # per opponent index, the distinct records in _cache
         self._played: list[list[MatchRecord]] = [[] for _ in opponents]
@@ -111,7 +119,6 @@ class OpponentSet:
                     self.opponents[index].program,
                     self.initial_state(index),
                     max_ticks=self.max_ticks,
-                    decision_period=self.decision_period,
                     earlier=played,
                 )
                 if all(r is not record for r in played):
@@ -171,21 +178,66 @@ class OpponentSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OpponentSet":
+        """Load a descriptor: a JSON object with ``map`` (a map file) and
+        ``programs`` (a list of policy files), both relative to the
+        descriptor, and optionally ``name``, ``seed`` and ``max_ticks``.
+
+        Anything else, and any file that cannot be read or parsed, raises
+        :class:`ConfigError` naming the descriptor and the key or file.
+        """
         path = Path(path)
-        data = json.loads(path.read_text())
-        root = path.parent
+
+        def fail(problem: str) -> ConfigError:
+            return ConfigError(f"opponent set {path}: {problem}")
+
+        def read(name: str) -> str:
+            try:
+                return (path.parent / name).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise fail(f"cannot read {name}: {exc.strerror or exc}") from exc
+
+        def read_json(name: str):
+            text = read(name)
+            try:
+                return json.loads(text)
+            except ValueError as exc:
+                raise fail(f"{name} is not JSON: {exc}") from exc
+
+        data = read_json(path.name)
+        if not isinstance(data, dict):
+            raise fail("not a JSON object")
+        unknown = sorted(set(data) - set(_DESCRIPTOR_KEYS))
+        if unknown:
+            raise fail(f"unknown keys {unknown}")
+        for key in ("map", "programs"):
+            if key not in data:
+                raise fail(f"missing {key!r}")
+        for key, kind in _DESCRIPTOR_KEYS.items():
+            # json.loads makes exact types, so a bool is no int here
+            if key in data and type(data[key]) is not kind:
+                raise fail(f"{key!r} must be {kind.__name__}")
+        programs = data["programs"]
+        if not programs or not all(type(entry) is str for entry in programs):
+            raise fail("'programs' must list at least one policy file")
+        if data.get("max_ticks", 1) < 1:
+            raise fail("'max_ticks' must be >= 1")
         opponents = []
-        for entry in data["programs"]:
-            source = (root / entry).read_text()
-            opponents.append(Opponent(Path(entry).stem, source, parse(source)))
-        map_data = json.loads((root / data["map"]).read_text())
+        for entry in programs:
+            source = read(entry)
+            try:
+                program = parse(source)
+            except ParseError as exc:
+                raise fail(f"{entry}: {exc}") from exc
+            opponents.append(Opponent(Path(entry).stem, source, program))
+        map_data = read_json(data["map"])
+        if not isinstance(map_data, dict):
+            raise fail(f"{data['map']} is not a JSON object")
         return cls(
             data.get("name", path.stem),
             opponents,
             map_data,
             seed=data.get("seed", 0),
             max_ticks=data.get("max_ticks", 400),
-            decision_period=data.get("decision_period", 1),
         )
 
 

@@ -404,12 +404,14 @@ def lint_score(
     """LINT score of a program set: mean aggregated value per metric.
 
     Three phases: every program's provider calls (explain, verify,
-    reconstruct), with up to ``workers`` programs' calls in flight at once
-    on threads and each program's trials in sequence; one
+    reconstruct), each program's trials in sequence; one
     :func:`compare_all` batch over every (π, trial) pair, whose simulation
     uses every CPU this process may run on (``taskset -c 0`` pins it to one
-    shard); then trials and aggregates, in input order.  Results are
-    identical at any ``workers`` and any CPU count.
+    shard); then trials and aggregates, in input order.  With an http
+    provider, up to ``workers`` programs' calls are in flight at once on
+    threads; other providers answer from memory or disk, and a scripted
+    one in call order, so their calls run one program at a time.  Results
+    are identical at any ``workers`` and any CPU count.
     """
 
     if not programs:
@@ -423,7 +425,7 @@ def lint_score(
             program, ident, oset, bundle, provider, k, max_retries, literal_min
         )
 
-    if workers > 1:
+    if workers > 1 and provider.kind == "http":
         with ThreadPoolExecutor(max_workers=workers) as pool:
             drawn = list(pool.map(draw, programs))
     else:

@@ -126,7 +126,6 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
         u.uid for u in units.values() if u.kind == "Resource" and u.resources <= 0
     ]:
         state.remove_unit(uid)
-    state.tick += 1
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,6 @@ class DecisionEntry:
     actions: dict[int, Action]  # resolved joint assignment for player 0
     # The rest of the full state as of before this tick: with the snapshot,
     # enough to resume the match here.
-    tick: int
     next_uid: int
     spawned: tuple[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]
     collected: tuple[int, int]
@@ -157,7 +155,6 @@ class DecisionEntry:
     def resume(self) -> tuple[GameState, MatchCounters]:
         """The full state and counters as of before this entry's tick."""
         state = restore_state(self.snapshot)
-        state.tick = self.tick
         state.next_uid = self.next_uid
         counters = MatchCounters(
             (dict(self.spawned[0]), dict(self.spawned[1])),
@@ -169,14 +166,19 @@ class DecisionEntry:
 
 @dataclass
 class MatchRecord:
-    """Everything observed from one match, from player 0's perspective."""
+    """Everything observed from one match, from player 0's perspective.
+
+    Both players decide on every tick, so entry i is tick i."""
 
     outcome: int  # +1 win, 0 draw, -1 loss for player 0
-    ticks: int
     fixed_point: bool
     entries: list[DecisionEntry]
     features: tuple[tuple[int, ...], tuple[int, ...]]  # per player
     dropped: int
+
+    @property
+    def ticks(self) -> int:
+        return len(self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -203,19 +205,18 @@ def play_match(
     program1: Program,
     initial: GameState,
     max_ticks: int = 2000,
-    decision_period: int = 1,
     *,
     earlier: Sequence[MatchRecord] = (),
 ) -> MatchRecord:
     """Run both policies to elimination, a repeated state, or the tick limit.
 
-    With a one-tick decision period, a repeated full state implies the
-    remainder of the match repeats forever, so it ends early as a draw
-    with ``fixed_point`` set. Decision entries record player 0's resolved
-    assignments at each decision state (first occurrence only).
+    Both players decide on every tick, so a repeated full state implies the
+    remainder of the match repeats forever: it ends early as a draw with
+    ``fixed_point`` set. Entry i records player 0's resolved assignment at
+    tick i.
 
     ``earlier`` holds records of matches against the same ``program1`` from
-    the same ``initial`` state with the same limits. The simulator is
+    the same ``initial`` state with the same limit. The simulator is
     deterministic, so while player 0's assignments equal those of one of
     them, this match repeats it: only player 0 is evaluated, on the recorded
     snapshot, and the record supplies the next decision state. A match that
@@ -244,46 +245,32 @@ def play_match(
         counters = MatchCounters()
     else:
         state, counters = entry.resume()
-    can_short_circuit = decision_period == 1
-    # every tick is a decision tick when the short cut applies
-    seen = {e.snapshot for e in entries} if can_short_circuit else set()
-    joint0: dict[int, Action] = {}
-    joint1: dict[int, Action] = {}
-    outcome: int | None = None
+    seen = {e.snapshot for e in entries}
+    outcome = 0
     fixed_point = False
-
-    end_tick = initial.tick + max_ticks
-    while state.tick < end_tick:
+    while len(entries) < max_ticks:
         # the split both players' evaluations on this state will share
         alive0, alive1 = map(bool, state.sides().units)
         if not alive0 or not alive1:
             outcome = (1 if alive0 else 0) - (1 if alive1 else 0)
             break
         snap = state.snapshot()
-        if can_short_circuit:
-            if snap in seen:
-                fixed_point = True
-                outcome = 0
-                break
-            seen.add(snap)
-        if state.tick % decision_period == 0:
-            if diverged is None:
-                joint0 = resolve_joint(program0, state, 0)
-            else:
-                joint0, diverged = diverged, None
-            joint1 = resolve_joint(program1, state, 1)
-            entries.append(
-                DecisionEntry(
-                    snap, joint0, state.tick, state.next_uid, *counters.frozen()
-                )
-            )
+        if snap in seen:
+            fixed_point = True
+            break
+        seen.add(snap)
+        if diverged is None:
+            joint0 = resolve_joint(program0, state, 0)
+        else:
+            joint0, diverged = diverged, None
+        joint1 = resolve_joint(program1, state, 1)
+        entries.append(
+            DecisionEntry(snap, joint0, state.next_uid, *counters.frozen())
+        )
         step(state, {**joint0, **joint1}, counters)
 
-    if outcome is None:
-        outcome = 0
     return MatchRecord(
         outcome=outcome,
-        ticks=state.tick,
         fixed_point=fixed_point,
         entries=entries,
         features=(counters.feature_vector(0), counters.feature_vector(1)),

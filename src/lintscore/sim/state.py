@@ -76,11 +76,7 @@ class Sides:
 class GameState:
     """Grid world with at most one unit per cell.
 
-    The ``tick`` counter is excluded from :meth:`snapshot` so that states
-    which differ only by elapsed time compare equal; this keeps decision-state
-    deduplication and seeded random choices consistent under replay.
-
-    ``units`` ascends by id (see ``__init__``), so nothing sorts it.
+    ``units ascends by id (see ``__init__``), so nothing sorts it.
     :meth:`sides` builds the :class:`Sides` split once and keeps it until
     :meth:`add_unit` or :meth:`remove_unit` changes which units exist, so
     both players' evaluations on one state, and those on later ticks with
@@ -97,7 +93,6 @@ class GameState:
         self.width = width
         self.height = height
         self.seed = seed
-        self.tick = 0
         self.player_resources = [player_resources[0], player_resources[1]]
         # ascending id order: ids come from ``next_uid``, which only grows,
         # and restore_state and clone insert in id order
@@ -166,7 +161,7 @@ class GameState:
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> tuple:
-        """Hashable, tick-free description of the full state."""
+        """Hashable description of the full state."""
         return (
             self.width,
             self.height,
@@ -183,7 +178,6 @@ class GameState:
             self.seed,
             (self.player_resources[0], self.player_resources[1]),
         )
-        other.tick = self.tick
         other.next_uid = self.next_uid
         for uid, unit in self.units.items():
             copy = Unit(*unit.as_tuple())

@@ -6,10 +6,22 @@ import pytest
 from lintscore.metrics import (
     closest_feature,
     closest_syntax,
+    mean_feature_vector,
     rand_index,
     select_policy_indices,
 )
-from lintscore.microlang import parse, print_program
+from lintscore.microlang import parse, print_program, syntax_set
+
+
+def nearest_syntax(target: str, pool: list[str]) -> int:
+    return closest_syntax(syntax_set(target), [syntax_set(s) for s in pool])
+
+
+def nearest_feature(target, pool, oset) -> int:
+    return closest_feature(
+        mean_feature_vector(target, oset),
+        [mean_feature_vector(p, oset) for p in pool],
+    )
 
 
 class TestSelectPolicyIndices:
@@ -63,13 +75,11 @@ class TestRandIndex:
 
 class TestClosestSyntax:
     def test_matches_manual_argmax(self, pool8):
-        from lintscore.microlang import syntax_set
-
         sources = [print_program(program) for _, program in pool8]
         for source in sources:
             target = syntax_set(source)
             overlaps = [len(target & syntax_set(s)) for s in sources]
-            assert closest_syntax(source, sources) == overlaps.index(
+            assert nearest_syntax(source, sources) == overlaps.index(
                 max(overlaps)
             )
 
@@ -77,25 +87,23 @@ class TestClosestSyntax:
         # A target with a line no other pool program has must select its
         # own copy.
         sources = [print_program(program) for _, program in pool8]
-        from lintscore.microlang import syntax_set
-
         for index, source in enumerate(sources):
             others = set().union(
                 *(syntax_set(s) for i, s in enumerate(sources) if i != index)
             )
             if syntax_set(source) - others:
-                assert closest_syntax(source, sources) == index
+                assert nearest_syntax(source, sources) == index
 
     def test_modified_copy_still_closest(self):
         target = "for(Unit u){\n    u.train(Light,Up,4)\n    u.attack(Closest)\n}"
         near = "for(Unit u){\n    u.train(Light,Up,4)\n    u.attack(Weakest)\n}"
         far = "for(Unit u){\n    u.harvest(10)\n}"
-        assert closest_syntax(target, [far, near]) == 1
+        assert nearest_syntax(target, [far, near]) == 1
 
     def test_tie_goes_to_lowest_index(self):
         target = "for(Unit u){\n    u.idle()\n}"
         pool = ["for(Unit u){\n    u.idle()\n}", "for(Unit u){\n    u.idle()\n}"]
-        assert closest_syntax(target, pool) == 0
+        assert nearest_syntax(target, pool) == 0
 
     def test_indent_and_semicolon_noise_ignored(self):
         # Normalized-line overlap sees through formatting differences.
@@ -104,14 +112,14 @@ class TestClosestSyntax:
             "for(Unit u){\n    u.harvest(10)\n}",
             "for(Unit u){\n    u.attack(Closest)\n}",
         ]
-        assert closest_syntax(target, pool) == 1
+        assert nearest_syntax(target, pool) == 1
 
 
 class TestClosestFeature:
     def test_pool_clone_is_nearest(self, tiered, pool8, oset8):
         programs = [program for _, program in pool8]
         clone_pool = programs + [tiered]
-        assert closest_feature(tiered, clone_pool, oset8) == len(clone_pool) - 1
+        assert nearest_feature(tiered, clone_pool, oset8) == len(clone_pool) - 1
 
     def test_tie_goes_to_lowest_index(self, oset8):
         # Two textual variants of one behavior are equidistant from any
@@ -119,10 +127,9 @@ class TestClosestFeature:
         variant_a = parse("for(Unit u){ u.attack(Closest) }")
         variant_b = parse("for(Unit u){ u.attack(Closest); }")
         target = parse("for(Unit u){ u.harvest(10) }")
-        assert closest_feature(target, [variant_a, variant_b], oset8) == 0
+        assert nearest_feature(target, [variant_a, variant_b], oset8) == 0
 
     def test_matches_manual_argmin(self, pool8, oset8):
-        from lintscore.metrics import mean_feature_vector
         import math
 
         programs = [program for _, program in pool8]
@@ -132,4 +139,4 @@ class TestClosestFeature:
             math.dist(anchor, mean_feature_vector(p, oset8)) for p in programs
         ]
         expected = dists.index(min(dists))
-        assert closest_feature(target, programs, oset8) == expected
+        assert nearest_feature(target, programs, oset8) == expected

@@ -193,7 +193,80 @@ class TestSimulateCmd:
         assert result.exit_code == 2
 
 
+def write_descriptor(directory, **changes):
+    """An opponent-set descriptor in ``directory`` over a bundled-style map
+    and one policy, both in subdirectories; ``changes`` set keys, and a
+    value of None removes one."""
+    (directory / "maps").mkdir()
+    (directory / "maps" / "duel.json").write_text(json.dumps(DUEL_MAP))
+    (directory / "policies").mkdir()
+    (directory / "policies" / "a.mrl").write_text(SIMPLE)
+    (directory / "policies" / "bad.mrl").write_text("for(Unit u){ u.fly() }")
+    data = {
+        "name": "duel",
+        "map": "maps/duel.json",
+        "programs": ["policies/a.mrl"],
+        "seed": 3,
+        "max_ticks": 10,
+    }
+    data.update(changes)
+    path = directory / "duel-set.json"
+    path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+    return path
+
+
+# descriptor defect -> (changes, or the descriptor's raw text; message)
+BAD_DESCRIPTORS = {
+    "not-json": ("{not json", "is not JSON"),
+    "not-object": ("[]", "not a JSON object"),
+    "no-map": ({"map": None}, "missing 'map'"),
+    "no-programs": ({"programs": None}, "missing 'programs'"),
+    "no-policy-file": ({"programs": ["policies/b.mrl"]}, "cannot read policies/b.mrl"),
+    "no-map-file": ({"map": "maps/b.json"}, "cannot read maps/b.json"),
+    "unparseable-opponent": ({"programs": ["policies/bad.mrl"]}, "policies/bad.mrl"),
+    "unknown-key": ({"max_tick": 40}, "unknown keys ['max_tick']"),
+    "decision-period": ({"decision_period": 1}, "unknown keys ['decision_period']"),
+    "mistyped-seed": ({"seed": "3"}, "'seed' must be int"),
+    "no-programs-listed": ({"programs": []}, "'programs' must list"),
+}
+
+
+def bad_descriptor(directory, defect):
+    changes, message = BAD_DESCRIPTORS[defect]
+    if isinstance(changes, str):
+        path = write_descriptor(directory)
+        path.write_text(changes)
+    else:
+        path = write_descriptor(directory, **changes)
+    return str(path), message
+
+
 class TestMetricCmd:
+    def test_descriptor_paths_are_relative_to_it(self, runner, tmp_path):
+        descriptor = write_descriptor(tmp_path)
+        result = runner.invoke(
+            main,
+            [
+                "metric",
+                "--pi", TIERED_PATH,
+                "--other", TIERED_PATH,
+                "--opponents", str(descriptor),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["action"] == 1.0
+
+    @pytest.mark.parametrize("defect", sorted(BAD_DESCRIPTORS))
+    def test_malformed_descriptor_exits_two(self, runner, tmp_path, defect):
+        path, message = bad_descriptor(tmp_path, defect)
+        result = runner.invoke(
+            main,
+            ["metric", "--pi", TIERED_PATH, "--other", TIERED_PATH, "--opponents", path],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"opponent set {path}" in result.output
+        assert message in result.output
+
     def test_reflexive(self, runner):
         result = runner.invoke(
             main,
@@ -893,6 +966,18 @@ class TestReportCmd:
         result = runner.invoke(main, ["report", "--config", str(path)])
         assert result.exit_code == 2
         assert "not a JSON object" in result.output
+
+    @pytest.mark.parametrize("defect", ["no-programs", "unknown-key", "no-policy-file"])
+    def test_malformed_descriptor_exits_two(self, runner, tmp_path, defect):
+        path, message = bad_descriptor(tmp_path, defect)
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps({"programs": "pool8", "opponents": path, "baselines": []})
+        )
+        result = runner.invoke(main, ["report", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert f"opponent set {path}" in result.output
+        assert message in result.output
 
     def test_unscorable_track_exits_two(self, runner, tmp_path):
         path = tmp_path / "c.json"

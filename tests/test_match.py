@@ -1,8 +1,11 @@
 """Full matches: termination, outcomes, records, and determinism."""
 
+import hashlib
 import json
 
+from lintscore.metrics import OpponentSet
 from lintscore.microlang import parse
+from lintscore.obfuscate import obfuscate
 from lintscore.resources import data_path
 from lintscore.sim import (
     GameState,
@@ -71,17 +74,6 @@ class TestRecords:
         worker_uid = 0
         assert all(worker_uid in e.actions for e in record.entries)
 
-    def test_decision_period_skips_ticks(self):
-        state = GameState(8, 8)
-        state.add_unit("Worker", 0, 4, 4)
-        state.add_unit("Resource", None, 0, 0, resources=100)
-        state.add_unit("Heavy", 1, 7, 7)
-        record = play_match(
-            parse(HARVEST_ALL), parse(""), state, max_ticks=4, decision_period=2
-        )
-        assert record.ticks == 4
-        assert len(record.entries) == 2
-
     def test_features_count_spawns_and_harvest(self):
         data = json.loads(
             data_path("maps", "BaseWorkers-8x8.json").read_text()
@@ -148,3 +140,31 @@ class TestDeterminism:
         assert kinds.count("Base") == 2
         assert kinds.count("Worker") == 2
         assert kinds.count("Resource") == 4
+
+
+# SHA-256 over every record below, computed while the simulator still kept a
+# decision period and a tick counter in the state; the bytes must not change.
+RECORD_DIGEST = "9127d1ca3fdc6d70f62661ad328ec59240c2f449fdc0947fcd274d5a6f20b3be"
+
+
+def test_record_digest_is_pinned():
+    """Every ``OpponentSet.matches`` record of pool16 in name order, each
+    program at obfuscation levels 0, 1 and 2, on fresh standard-8 then
+    standard-16 sets (1,200 records), hashed through ``to_json``."""
+    from lintscore.harness import load_program_set
+
+    pool = load_program_set("pool16")
+    digest = hashlib.sha256()
+    records = 0
+    for size in (8, 16):
+        oset = OpponentSet.from_file(data_path(f"opponents{size}.json"))
+        for _, program in pool:
+            for level in (0, 1, 2):
+                padded = obfuscate(program, level) if level else program
+                for record in oset.matches(padded):
+                    assert record.ticks == len(record.entries)
+                    text = json.dumps(record.to_json(), sort_keys=True)
+                    digest.update(text.encode())
+                    records += 1
+    assert records == 1200
+    assert digest.hexdigest() == RECORD_DIGEST

@@ -71,7 +71,6 @@ def check_family(programs) -> OpponentSet:
                 oset.opponents[index].program,
                 oset.initial_state(index),
                 max_ticks=oset.max_ticks,
-                decision_period=oset.decision_period,
                 earlier=(),
             )
             assert_same_match(record, want)
@@ -142,7 +141,6 @@ def departing_at(record: MatchRecord, index: int) -> MatchRecord:
     entries[index] = DecisionEntry(
         entry.snapshot,
         {**entry.actions, -1: Action("stand")},
-        entry.tick,
         entry.next_uid,
         entry.spawned,
         entry.collected,
@@ -150,7 +148,6 @@ def departing_at(record: MatchRecord, index: int) -> MatchRecord:
     )
     return MatchRecord(
         record.outcome,
-        record.ticks,
         record.fixed_point,
         entries,
         record.features,
@@ -166,8 +163,7 @@ def ending(record: MatchRecord) -> str:
 
 # name -> (match, ending). Between them the cases spawn, harvest, drop
 # actions and kill the newest unit before the next spawn, so a resumed match
-# depends on every counter and on the unit-id counter. With a two-tick
-# decision period there is no fixed-point short cut; the shuttle repeats a
+# depends on every counter and on the unit-id counter. The shuttle repeats a
 # state from two ticks back.
 CASES = {
     "elimination": (lambda: gauntlet_match("p08", "o03"), "elimination"),
@@ -176,9 +172,6 @@ CASES = {
     "fixed-point-cycle": (shuttle_match, "fixed point"),
     "tick-limit": (
         lambda: gauntlet_match("p13", "o04", max_ticks=25), "tick limit"
-    ),
-    "decision-period-2": (
-        lambda: gauntlet_match("p13", "o03", decision_period=2), "elimination"
     ),
 }
 

@@ -432,7 +432,6 @@ class TestOpponentSet:
         assert len(oset) == 10
         assert oset.seed == 11
         assert oset.max_ticks == 400
-        assert oset.decision_period == 1
         assert all(isinstance(o, Opponent) for o in oset.opponents)
 
     def test_standard_sets_are_process_cached(self, oset16, oset8):

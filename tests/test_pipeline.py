@@ -437,6 +437,28 @@ class TestLintScore:
             )
         assert outputs[4] == outputs[1]
 
+    def test_scripted_runs_are_equal_at_any_workers(self, bundle):
+        """A scripted provider answers lists in call order, so threads that
+        shared it would hand programs each other's responses: only an http
+        provider's calls run on threads."""
+        from lintscore.harness import load_program_set
+
+        pool = load_program_set("pool16")
+        sources = [print_program(program) for _, program in pool]
+        outputs = {}
+        for workers in (8, 1):
+            provider = ScriptedProvider(
+                {
+                    "explainer": [wrap("explanation", f"Plan {i}.") for i in range(40)],
+                    "verifier": ACCEPT_RESPONSE,
+                    "reconstructor": [wrap("strategy", s) for s in sources * 2],
+                }
+            )
+            oset = OpponentSet.from_file(data_path("opponents8.json"))
+            _, runs = lint_score(pool, oset, bundle, provider, k=2, workers=workers)
+            outputs[workers] = [json.dumps(run.to_json(), sort_keys=True) for run in runs]
+        assert outputs[8] == outputs[1]
+
     def test_rejects_empty_inputs(self, bundle, oset8):
         with pytest.raises(ValueError):
             lint_score([], oset8, bundle, EchoProvider())

@@ -230,13 +230,6 @@ class TestSpawnPhase:
 
 
 class TestSnapshots:
-    def test_snapshot_excludes_tick(self):
-        state = grid()
-        state.add_unit("Base", 0, 2, 2)
-        before = state.snapshot()
-        state.tick += 5
-        assert state.snapshot() == before
-
     def test_restore_state_round_trips(self):
         state = grid(seed=9, resources=(3, 1))
         state.add_unit("Base", 0, 2, 2)
@@ -253,8 +246,3 @@ class TestSnapshots:
         state.move_unit(unit.uid, (3, 3))
         assert twin.units[unit.uid].pos == (2, 2)
         assert twin.snapshot() != state.snapshot()
-
-    def test_tick_advances(self):
-        state = grid()
-        run(state, {})
-        assert state.tick == 1

@@ -88,7 +88,6 @@ def test_live_states_evaluate_as_restored(pool16, monkeypatch):
                 opponent.program,
                 oset.initial_state(index),
                 max_ticks=oset.max_ticks,
-                decision_period=oset.decision_period,
             )
     assert players.count(0) == players.count(1) > 1000
 
@@ -129,7 +128,7 @@ def test_order_and_split_through_spawn_death_and_depletion():
 
     copies = [state.clone(), restore_state(state.snapshot())]
     entry = DecisionEntry(
-        state.snapshot(), {}, state.tick, state.next_uid, *counters.frozen()
+        state.snapshot(), {}, state.next_uid, *counters.frozen()
     )
     copies.append(entry.resume()[0])
     for copy in copies:
