@@ -38,7 +38,7 @@ from .microlang import ParseError, parse, print_program, to_dict
 from .obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
 from .pipeline import ProviderError
 from .resources import data_path
-from .sim import play_match, state_from_map_dict
+from .sim import GameState, play_match, state_from_map_dict
 
 _BUNDLED_MAPS = ("BaseWorkers-8x8", "BaseWorkers-16x16A")
 
@@ -64,14 +64,19 @@ def _parse_source(path: str):
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
-def _load_map(spec: str) -> dict:
+def _initial_state(spec: str, seed: int) -> GameState:
     if spec in _BUNDLED_MAPS:
         path = data_path("maps", f"{spec}.json")
     else:
         path = Path(spec)
         if not path.is_file():
             raise click.UsageError(f"map {spec!r} is neither bundled nor a file")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return state_from_map_dict(
+            json.loads(path.read_text(encoding="utf-8")), seed=seed
+        )
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"map {spec}: {exc}") from exc
 
 
 def _opponents(spec: str):
@@ -185,7 +190,7 @@ def simulate_cmd(ctx, p0_path, p1_path, map_spec, seed, max_ticks, record_path):
         seed = ctx.obj["seed"]
     p0 = _parse_source(p0_path)
     p1 = _parse_source(p1_path)
-    state = state_from_map_dict(_load_map(map_spec), seed=seed)
+    state = _initial_state(map_spec, seed)
     record = play_match(p0, p1, state, max_ticks=max_ticks)
     if record_path:
         dump_json(Path(record_path), record.to_json())
@@ -212,7 +217,7 @@ def metric_cmd(pi_path, other_path, opponents, per_unit):
     pi = _parse_source(pi_path)
     other = _parse_source(other_path)
     oset = _opponents(opponents)
-    report = compare(pi, other, oset, per_unit=per_unit)
+    report = compare([(pi, other)], oset, per_unit)[0]
     _echo_json(report.as_dict())
 
 
@@ -402,9 +407,14 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
             data = json.loads(Path(summary_path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot read {summary_path}: {exc}") from exc
-        table = SummaryTable.from_json(
-            data["table"] if "table" in data else data
-        )
+        if not isinstance(data, dict):
+            raise click.UsageError(f"summary {summary_path} is not a JSON object")
+        try:
+            table = SummaryTable.from_json(data.get("table", data))
+        except (AttributeError, LookupError, TypeError) as exc:
+            raise click.UsageError(
+                f"summary {summary_path} is malformed: {type(exc).__name__} {exc}"
+            ) from exc
         click.echo(table.markdown(), nl=False)
         if out_dir:
             write_summary(out_dir, table, table.to_json())

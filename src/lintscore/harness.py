@@ -18,7 +18,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .metrics.baselines import closest_feature, closest_syntax, rand_index
-from .metrics.behavior import compare, compare_all, mean_feature_vector
+from .metrics.behavior import BehaviorReport, compare, mean_feature_vector
 from .metrics.opponents import OpponentSet, standard_opponents
 from .microlang import ParseError, Program, parse, print_program, syntax_set
 from .obfuscate import obfuscate
@@ -30,7 +30,7 @@ from .pipeline import (
     load_bundle,
     load_map_description,
     make_provider,
-    measure_samples,
+    score_samples,
 )
 from .resources import ConfigError, data_path, policy_sources
 
@@ -250,9 +250,10 @@ class SummaryTable:
     def from_json(cls, data: dict) -> "SummaryTable":
         rows = []
         for entry in data["rows"]:
+            metrics = entry["metrics"]
             cells = {
-                name: Cell(values["mean"], values["ci"])
-                for name, values in entry["metrics"].items()
+                name: Cell(metrics[name]["mean"], metrics[name]["ci"])
+                for name in METRIC_COLUMNS
             }
             rows.append(RowSummary(entry["condition"], entry["n"], cells))
         return cls(rows)
@@ -429,29 +430,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         # every program's pick (or k-shot samples) first, then one
         # measurement of the whole row, then the row in program order
         if key == "kshot":
-            samples = [
-                kshot_samples(map_description, bundle, provider, cfg.k, program)
-                for _, program in programs
+            batch = [
+                (pi, kshot_samples(map_description, bundle, provider, cfg.k, pi))
+                for _, pi in programs
             ]
-            measure_samples(
-                [(program, drawn) for (_, program), drawn in zip(programs, samples)],
-                oset,
-                cfg.per_unit,
-            )
             rows = []
-            for (ident, program), drawn in zip(programs, samples):
-                result = kshot_baseline(drawn, program, oset, per_unit=cfg.per_unit)
-                rows.append((ident, f"trial-{result.best_trial}", result.report))
+            scored = score_samples(batch, oset, cfg.per_unit)
+            for (ident, _), trials in zip(programs, scored):
+                best = kshot_baseline(trials)
+                report = BehaviorReport(best.action, best.outcome, best.feature)
+                rows.append((ident, f"trial-{best.trial}", report))
         else:
             picks = _select_baseline(key, programs, pool_other, oset, cfg.seed)
             pairs = [
-                (program, other)
-                for (_, program), (_, other) in zip(programs, picks)
+                (program, other) for (_, program), (_, other) in zip(programs, picks)
             ]
-            compare_all(pairs, oset, cfg.per_unit)
+            reports = compare(pairs, oset, cfg.per_unit)
             rows = [
-                (ident, selected, compare(program, other, oset, per_unit=cfg.per_unit))
-                for (ident, program), (selected, other) in zip(programs, picks)
+                (ident, selected, report)
+                for (ident, _), (selected, _), report in zip(programs, picks, reports)
             ]
         details = [
             {"program_id": ident, "selected": selected, **report.as_dict()}

@@ -10,7 +10,6 @@ from .behavior import (
     ShardError,
     action_metric,
     compare,
-    compare_all,
     decision_states,
     feature_distance,
     feature_metric,
@@ -42,7 +41,6 @@ __all__ = [
     "closest_feature",
     "closest_syntax",
     "compare",
-    "compare_all",
     "decision_states",
     "feature_distance",
     "feature_metric",

@@ -9,7 +9,7 @@ All comparisons run against a fixed opponent set:
   vectors (this one is a distance: 0 means identical).
 
 Each measure is a sum over opponents of one per-opponent function, so
-:func:`compare_all` can measure a batch of pairs split by opponent across
+:func:`compare` can measure a batch of pairs split by opponent across
 forked processes and still sum exactly what one process would.
 """
 from __future__ import annotations
@@ -160,7 +160,7 @@ def mean_feature_vector(pi: Program, oset: OpponentSet) -> tuple[float, ...]:
 
 
 class ShardError(RuntimeError):
-    """A forked shard of :func:`compare_all` failed; ``child_traceback``
+    """A forked shard of :func:`compare` failed; ``child_traceback``
     is the traceback it printed, or ``None`` when it died without one."""
 
     def __init__(self, message: str, child_traceback: str | None = None):
@@ -178,14 +178,6 @@ def _cpu_count() -> int:
 
 
 def compare(
-    pi: Program, other: Program, oset: OpponentSet, per_unit: bool = False
-) -> BehaviorReport:
-    """The three measures of ``other`` against π: :func:`compare_all` of
-    one pair."""
-    return compare_all([(pi, other)], oset, per_unit)[0]
-
-
-def compare_all(
     pairs: list[tuple[Program, Program]],
     oset: OpponentSet,
     per_unit: bool = False,

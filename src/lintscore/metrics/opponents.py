@@ -42,7 +42,8 @@ class OpponentSet:
     played against it for as long as it repeats one of them (see
     :func:`play_match`), so a shared match is simulated and stored once.
     Behavior reports are kept the same way, per (π text, other text,
-    ``per_unit``), so :func:`~.behavior.compare_all` measures each pair once.
+    ``per_unit``), so :func:`~.behavior.compare` measures each pair once,
+    however many batches repeat it.
 
     Each opponent's matches depend on no other opponent's, so
     :meth:`play` works one opponent at a time and may run in a forked
@@ -230,8 +231,11 @@ class OpponentSet:
                 raise fail(f"{entry}: {exc}") from exc
             opponents.append(Opponent(Path(entry).stem, source, program))
         map_data = read_json(data["map"])
-        if not isinstance(map_data, dict):
-            raise fail(f"{data['map']} is not a JSON object")
+        try:
+            # checked once here: every match builds its start from map_data
+            state_from_map_dict(map_data)
+        except ValueError as exc:
+            raise fail(f"{data['map']}: {exc}") from exc
         return cls(
             data.get("name", path.stem),
             opponents,

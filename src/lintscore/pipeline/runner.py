@@ -8,12 +8,11 @@ fail contributes the worst possible values rather than aborting the batch.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from ..metrics.behavior import BehaviorReport, compare, compare_all
+from ..metrics.behavior import compare
 from ..metrics.opponents import OpponentSet
 from ..microlang import ParseError, Program, parse, print_program
 from .prompts import PromptBundle, extract_tag
@@ -80,15 +79,6 @@ class LintRun:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class KshotResult:
-    """Best-of-k sample from the map-description-only prompt."""
-
-    report: BehaviorReport
-    best_trial: int
-    trials: tuple[Trial, ...]
 
 
 class _Tracker(Provider):
@@ -221,30 +211,42 @@ def _sample(
     return samples
 
 
-def _score_samples(
-    pi: Program,
-    samples: list[Program | str],
+def score_samples(
+    batch: list[tuple[Program, list[Program | str]]],
     oset: OpponentSet,
     per_unit: bool = False,
-) -> list[Trial]:
-    """One trial per sample, scored against ``pi``; failures score WORST."""
+) -> list[list[Trial]]:
+    """The trials of each (π, samples) in ``batch``: sample i becomes trial
+    i, scored against its π.  Every parsed sample of the batch is measured
+    in one :func:`compare` call, in batch order; a failed sample scores
+    WORST and reaches no opponent set."""
 
-    trials: list[Trial] = []
-    for index, sample in enumerate(samples):
-        if isinstance(sample, str):
-            trials.append(Trial(index, None, **WORST, error=sample))
-            continue
-        report = compare(pi, sample, oset, per_unit=per_unit)
-        trials.append(
-            Trial(
-                index,
-                print_program(sample),
-                report.action,
-                report.outcome,
-                report.feature,
+    pairs = [
+        (pi, sample)
+        for pi, samples in batch
+        for sample in samples
+        if not isinstance(sample, str)
+    ]
+    reports = iter(compare(pairs, oset, per_unit) if pairs else ())
+    scored = []
+    for _, samples in batch:
+        trials: list[Trial] = []
+        for index, sample in enumerate(samples):
+            if isinstance(sample, str):
+                trials.append(Trial(index, None, **WORST, error=sample))
+                continue
+            report = next(reports)
+            trials.append(
+                Trial(
+                    index,
+                    print_program(sample),
+                    report.action,
+                    report.outcome,
+                    report.feature,
+                )
             )
-        )
-    return trials
+        scored.append(trials)
+    return scored
 
 
 def reconstruct(
@@ -279,39 +281,6 @@ def aggregate_trials(
     features = [t.feature for t in trials]
     result["feature"] = min(features) if literal_min else max(features)
     return result
-
-
-def score_program(
-    program: Program,
-    program_id: str,
-    oset: OpponentSet,
-    bundle: PromptBundle,
-    provider: Provider,
-    *,
-    k: int = 5,
-    max_retries: int = 3,
-    literal_min: bool = False,
-    per_unit: bool = False,
-) -> LintRun:
-    """Run the full explain/verify/reconstruct/score loop for one program:
-    :func:`lint_score` of that program alone.
-
-    Failures (provider errors, verifier exhaustion) are recorded on the run
-    and scored as worst-case rather than raised, so a batch never aborts on
-    one bad program.
-    """
-
-    _, runs = lint_score(
-        [(program_id, program)],
-        oset,
-        bundle,
-        provider,
-        k=k,
-        max_retries=max_retries,
-        literal_min=literal_min,
-        per_unit=per_unit,
-    )
-    return runs[0]
 
 
 def _draw(
@@ -369,26 +338,6 @@ def _draw(
     ), samples
 
 
-def measure_samples(
-    batch: Iterable[tuple[Program, list[Program | str]]],
-    oset: OpponentSet,
-    per_unit: bool = False,
-) -> None:
-    """Measure every parsed sample against its π in one :func:`compare_all`
-    batch, so that scoring the samples afterwards only reads reports."""
-
-    compare_all(
-        [
-            (pi, sample)
-            for pi, samples in batch
-            for sample in samples
-            if not isinstance(sample, str)
-        ],
-        oset,
-        per_unit,
-    )
-
-
 def lint_score(
     programs: list[tuple[str, Program]],
     oset: OpponentSet,
@@ -405,9 +354,9 @@ def lint_score(
 
     Three phases: every program's provider calls (explain, verify,
     reconstruct), each program's trials in sequence; one
-    :func:`compare_all` batch over every (π, trial) pair, whose simulation
-    uses every CPU this process may run on (``taskset -c 0`` pins it to one
-    shard); then trials and aggregates, in input order.  With an http
+    :func:`score_samples` batch over every (π, trial) pair, whose
+    simulation uses every CPU this process may run on (``taskset -c 0``
+    pins it to one shard); then aggregates, in input order.  With an http
     provider, up to ``workers`` programs' calls are in flight at once on
     threads; other providers answer from memory or disk, and a scripted
     one in call order, so their calls run one program at a time.  Results
@@ -431,17 +380,14 @@ def lint_score(
     else:
         drawn = [draw(item) for item in programs]
 
-    measure_samples(
-        ((program, samples) for (_, program), (_, samples) in zip(programs, drawn)),
-        oset,
-        per_unit,
-    )
-
+    batch = [
+        (program, samples) for (_, program), (_, samples) in zip(programs, drawn)
+    ]
     runs = []
-    for (_, program), (run, samples) in zip(programs, drawn):
-        if run.explanation is not None:
-            run.trials = _score_samples(program, samples, oset, per_unit)
-            run.aggregated = aggregate_trials(run.trials, literal_min=literal_min)
+    for (run, _), trials in zip(drawn, score_samples(batch, oset, per_unit)):
+        # a run without an explanation has no trials, which aggregate WORST
+        run.trials = trials
+        run.aggregated = aggregate_trials(trials, literal_min=literal_min)
         if provider.kind == "http":
             run.provenance["finished_at"] = _now()
         runs.append(run)
@@ -469,27 +415,13 @@ def kshot_samples(
     return _sample("kshot", prompt, provider, k, program_source=print_program(pi))
 
 
-def kshot_baseline(
-    samples: list[Program | str],
-    pi: Program,
-    oset: OpponentSet,
-    *,
-    per_unit: bool = False,
-) -> KshotResult:
-    """Best of the k-shot samples of ``pi`` (see :func:`kshot_samples`).
+def kshot_baseline(trials: list[Trial]) -> Trial:
+    """The best of one program's k-shot trials (see :func:`kshot_samples`
+    and :func:`score_samples`): the highest (action, outcome) and lowest
+    feature distance, earliest trial winning ties.  Failed samples score
+    worst-case."""
 
-    Each sample is compared against ``pi``; the best trial is the one with
-    the highest (action, outcome) and lowest feature distance, earliest trial
-    winning ties.  Failed samples score worst-case.
-    """
-
-    trials = _score_samples(pi, samples, oset, per_unit)
-    best = min(trials, key=lambda t: (-t.action, -t.outcome, t.feature, t.trial))
-    return KshotResult(
-        report=BehaviorReport(best.action, best.outcome, best.feature),
-        best_trial=best.trial,
-        trials=tuple(trials),
-    )
+    return min(trials, key=lambda t: (-t.action, -t.outcome, t.feature, t.trial))
 
 
 def _now() -> str:

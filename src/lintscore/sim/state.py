@@ -210,14 +210,19 @@ _OWNER_NAMES = {"P0": 0, "P1": 1, None: None}
 
 
 def state_from_map_dict(data: dict, seed: int = 0) -> GameState:
-    resources = data.get("player_resources", [0, 0])
-    state = GameState(
-        data["width"], data["height"], seed, (resources[0], resources[1])
-    )
-    for cell in data["cells"]:
-        x, y = cell["pos"]
-        owner = _OWNER_NAMES[cell.get("owner")]
-        state.add_unit(
-            cell["kind"], owner, x, y, resources=cell.get("resources", 0)
+    """The start of a match on a map file's data; raises ValueError when
+    the data is not a map."""
+    try:
+        resources = data.get("player_resources", [0, 0])
+        state = GameState(
+            data["width"], data["height"], seed, (resources[0], resources[1])
         )
+        for cell in data["cells"]:
+            x, y = cell["pos"]
+            owner = _OWNER_NAMES[cell.get("owner")]
+            state.add_unit(
+                cell["kind"], owner, x, y, resources=cell.get("resources", 0)
+            )
+    except (AttributeError, LookupError, TypeError) as exc:
+        raise ValueError(f"not a map: {type(exc).__name__} {exc}") from exc
     return state

@@ -7,7 +7,7 @@ gauntlet reuses earlier simulations instead of re-running them.
 
 import pytest
 
-from lintscore.metrics import standard_opponents
+from lintscore.metrics import OpponentSet, standard_opponents
 from lintscore.microlang import Program, parse
 from lintscore.pipeline import load_bundle
 from lintscore.resources import data_path, policy_sources
@@ -51,3 +51,17 @@ def tiered():
 @pytest.fixture(scope="session")
 def empty_program():
     return Program(())
+
+
+@pytest.fixture()
+def keyed_pairs(monkeypatch):
+    """Every (π, other) that ``OpponentSet.pair_key`` keys, in call order."""
+    keyed = []
+    pair_key = OpponentSet.pair_key
+
+    def recording(self, pi, other, per_unit):
+        keyed.append((pi, other))
+        return pair_key(self, pi, other, per_unit)
+
+    monkeypatch.setattr(OpponentSet, "pair_key", recording)
+    return keyed

@@ -23,7 +23,7 @@ from lintscore.microlang import Program, parse, print_program, random_program
 from lintscore.obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
 from lintscore.pipeline import make_provider
 from lintscore.pipeline.mocks import EchoProvider, EmptyProvider, LineDropProvider
-from lintscore.pipeline.runner import Trial, aggregate_trials, lint_score, score_program
+from lintscore.pipeline.runner import Trial, aggregate_trials, lint_score
 from lintscore.resources import data_path
 from lintscore.sim import Action, state_from_map_dict
 from lintscore.sim.evaluator import resolve_joint
@@ -61,7 +61,7 @@ def test_criterion_02_training_priority(tiered):
 def test_criterion_03_metric_reflexivity(pool16, oset16):
     start = time.perf_counter()
     for ident, program in pool16:
-        report = compare(program, program, oset16)
+        report = compare([(program, program)], oset16)[0]
         assert (report.action, report.outcome, report.feature) == (1.0, 1.0, 0.0), ident
     assert len(pool16) == 20
     assert time.perf_counter() - start < 120.0
@@ -86,7 +86,7 @@ def test_criterion_05_mock_score_identities(pool16, oset16, bundle, empty_progra
 
     _, empty_runs = lint_score(pool16, oset16, bundle, EmptyProvider(), k=1)
     for (ident, program), run in zip(pool16, empty_runs):
-        oracle = compare(program, empty_program, oset16).as_dict()
+        oracle = compare([(program, empty_program)], oset16)[0].as_dict()
         assert run.aggregated == oracle, ident
 
 
@@ -239,7 +239,9 @@ def test_criterion_11_live_provider_smoke(tiered, oset8, bundle):
             "model": os.environ.get("LINT_SMOKE_MODEL", "gpt-4"),
         }
     )
-    run = score_program(tiered, "smoke", oset8, bundle, provider, k=1, max_retries=1)
+    _, [run] = lint_score(
+        [("smoke", tiered)], oset8, bundle, provider, k=1, max_retries=1
+    )
     payload = run.to_json()
     assert set(payload) == {
         "program_id",

@@ -6,6 +6,7 @@ Exit-code contract: 0 success, 1 failed work (parse errors, lost runs),
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -192,6 +193,19 @@ class TestSimulateCmd:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text, message", [("{not json", "Expecting"), ("{}", "not a map")]
+    )
+    def test_malformed_map_exits_two(self, runner, duel_files, text, message):
+        map_path, p0, p1 = duel_files
+        Path(map_path).write_text(text)
+        result = runner.invoke(
+            main, ["simulate", "--p0", p0, "--p1", p1, "--map", map_path]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"map {map_path}" in result.output
+        assert message in result.output
+
 
 def write_descriptor(directory, **changes):
     """An opponent-set descriptor in ``directory`` over a bundled-style map
@@ -199,6 +213,7 @@ def write_descriptor(directory, **changes):
     value of None removes one."""
     (directory / "maps").mkdir()
     (directory / "maps" / "duel.json").write_text(json.dumps(DUEL_MAP))
+    (directory / "maps" / "empty.json").write_text("{}")
     (directory / "policies").mkdir()
     (directory / "policies" / "a.mrl").write_text(SIMPLE)
     (directory / "policies" / "bad.mrl").write_text("for(Unit u){ u.fly() }")
@@ -223,6 +238,7 @@ BAD_DESCRIPTORS = {
     "no-programs": ({"programs": None}, "missing 'programs'"),
     "no-policy-file": ({"programs": ["policies/b.mrl"]}, "cannot read policies/b.mrl"),
     "no-map-file": ({"map": "maps/b.json"}, "cannot read maps/b.json"),
+    "empty-map": ({"map": "maps/empty.json"}, "maps/empty.json: not a map"),
     "unparseable-opponent": ({"programs": ["policies/bad.mrl"]}, "policies/bad.mrl"),
     "unknown-key": ({"max_tick": 40}, "unknown keys ['max_tick']"),
     "decision-period": ({"decision_period": 1}, "unknown keys ['decision_period']"),
@@ -778,6 +794,26 @@ class TestReportCmd:
         second = runner.invoke(main, ["report", "--summary", str(summary)])
         assert second.exit_code == 0
         assert second.output == (tmp_path / "a" / "summary.md").read_text()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "is not a JSON object"),
+            ({"columns": []}, "KeyError 'rows'"),
+            ({"rows": [{"condition": "LINT", "n": 1}]}, "KeyError 'metrics'"),
+            (
+                {"rows": [{"condition": "LINT", "n": 1, "metrics": {}}]},
+                "KeyError 'action'",
+            ),
+        ],
+    )
+    def test_malformed_summary_exits_two(self, runner, tmp_path, data, message):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps(data))
+        result = runner.invoke(main, ["report", "--summary", str(summary)])
+        assert result.exit_code == 2, result.output
+        assert f"summary {summary}" in result.output
+        assert message in result.output
 
     def test_rerendered_files_match_table(self, runner, config_file, tmp_path):
         runner.invoke(

@@ -21,6 +21,7 @@ from lintscore.harness import (
 )
 from lintscore.harness import _program_rng
 from lintscore.metrics import standard_opponents
+from lintscore.microlang import print_program
 
 
 def small_config(**overrides):
@@ -370,6 +371,21 @@ class TestRunExperiment:
                     "outcome",
                     "feature",
                 }
+
+    def test_pick_row_keys_each_pair_once(self, keyed_pairs):
+        """The echo LINT row keys (π, π) pairs; the Rand row's one
+        ``compare`` call keys each (π, pick) pair once, in program order."""
+        result = run_experiment(small_config(baselines=["rand"], k=1))
+        texts = {
+            ident: print_program(program)
+            for ident, program in load_program_set("pool8")
+        }
+        picks = [
+            (texts[entry["program_id"]], texts[entry["selected"]])
+            for entry in result.baseline_details["Rand"]
+        ]
+        keyed = [(print_program(pi), print_program(other)) for pi, other in keyed_pairs]
+        assert [pair for pair in keyed if pair[0] != pair[1]] == picks
 
     def test_kshot_echo_is_perfect(self):
         result = run_experiment(small_config(baselines=["kshot"]))

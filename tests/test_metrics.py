@@ -292,16 +292,16 @@ class TestMeanFeatureVector:
 
 class TestCompare:
     def test_reflexive_report(self, tiered, oset8):
-        report = compare(tiered, tiered, oset8)
+        report = compare([(tiered, tiered)], oset8)[0]
         assert (report.action, report.outcome, report.feature) == (1.0, 1.0, 0.0)
 
     def test_as_dict_keys(self, tiered, empty_program, oset8):
-        report = compare(tiered, empty_program, oset8)
+        report = compare([(tiered, empty_program)], oset8)[0]
         assert set(report.as_dict()) == {"action", "outcome", "feature"}
         assert report.as_dict()["action"] == report.action
 
     def test_equals_the_three_metrics(self, tiered, empty_program, oset8):
-        report = compare(tiered, empty_program, oset8)
+        report = compare([(tiered, empty_program)], oset8)[0]
         assert report == BehaviorReport(
             action_metric(tiered, empty_program, oset8),
             outcome_metric(tiered, empty_program, oset8),
@@ -338,12 +338,12 @@ class TestCompareMemo:
                 other = programs[j]
                 for per_unit in (False, True):
                     # Both call orders, each checked against its own reference.
-                    forward = compare(pi, other, oset, per_unit)
-                    backward = compare(other, pi, oset, per_unit)
+                    forward = compare([(pi, other)], oset, per_unit)[0]
+                    backward = compare([(other, pi)], oset, per_unit)[0]
                     assert forward == _three_metrics(pi, other, oset, per_unit)
                     assert backward == _three_metrics(other, pi, oset, per_unit)
-                    assert compare(copies[i], copies[j], oset, per_unit) == forward
-                    assert compare(copies[j], copies[i], oset, per_unit) == backward
+                    copied = [(copies[i], copies[j]), (copies[j], copies[i])]
+                    assert compare(copied, oset, per_unit) == [forward, backward]
         assert len(oset.reports) == 2 * len(programs) ** 2
 
     def test_repeat_on_reparsed_copies_replays_nothing(
@@ -359,13 +359,13 @@ class TestCompareMemo:
         monkeypatch.setattr(behavior, "resolve_joint", counting)
         pairs = [(pi, other) for _, pi in pool8 for _, other in pool8]
         for pi, other in pairs:
-            compare(pi, other, oset, per_unit=True)
+            compare([(pi, other)], oset, per_unit=True)
         assert calls
         copies = _reparsed("pool8")
         calls.clear()
         for pi in copies:
             for other in copies:
-                compare(pi, other, oset, per_unit=True)
+                compare([(pi, other)], oset, per_unit=True)
         assert calls == []
 
     def test_per_unit_reports_kept_apart(self, pool8, oset):
@@ -376,11 +376,11 @@ class TestCompareMemo:
             if _three_metrics(pi, other, oset, False)
             != _three_metrics(pi, other, oset, True)
         )
-        joint = compare(pi, other, oset, per_unit=False)
-        graded = compare(pi, other, oset, per_unit=True)
+        joint = compare([(pi, other)], oset, per_unit=False)[0]
+        graded = compare([(pi, other)], oset, per_unit=True)[0]
         assert joint != graded
-        assert compare(pi, other, oset, per_unit=False) is joint
-        assert compare(pi, other, oset, per_unit=True) is graded
+        assert compare([(pi, other)], oset, per_unit=False)[0] is joint
+        assert compare([(pi, other)], oset, per_unit=True)[0] is graded
         assert joint == _three_metrics(pi, other, oset, False)
         assert graded == _three_metrics(pi, other, oset, True)
 
@@ -406,7 +406,7 @@ class TestCompareMemo:
             order = keys[:]
             random.Random(seed).shuffle(order)
             for i, j, u in order:
-                seen[seed, i, j, u] = compare(programs[i], programs[j], oset, u)
+                seen[seed, i, j, u] = compare([(programs[i], programs[j])], oset, u)[0]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

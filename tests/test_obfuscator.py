@@ -124,7 +124,7 @@ class TestNeutrality:
                 assert report.equal, report.divergences
 
     def test_padded_policy_compares_identical(self, tiered, oset8):
-        report = compare(tiered, obfuscate(tiered, 2), oset8)
+        report = compare([(tiered, obfuscate(tiered, 2))], oset8)[0]
         assert (report.action, report.outcome, report.feature) == (1.0, 1.0, 0.0)
 
     def test_real_divergence_reported_per_opponent(

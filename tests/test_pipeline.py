@@ -25,11 +25,11 @@ from lintscore.pipeline import (
     lint_score,
     parse_verdict,
     reconstruct,
-    score_program,
+    score_samples,
     verify,
 )
 from lintscore.pipeline.mocks import ACCEPT_RESPONSE
-from lintscore.pipeline.runner import WORST, _score_samples
+from lintscore.pipeline.runner import WORST
 from lintscore.resources import data_path
 
 from sample_texts import (
@@ -181,13 +181,13 @@ class TestExplain:
 
 class TestReconstruct:
     """``reconstruct`` returns one sample per trial, a parsed program or a
-    named failure; ``_score_samples`` turns the samples into trials."""
+    named failure; ``score_samples`` turns the samples into trials."""
 
     def test_echo_round_trips_source(self, bundle, tiered, oset8):
         source = print_program(tiered)
         samples = reconstruct(source, bundle, EchoProvider(), k=3)
         assert all(print_program(sample) == source for sample in samples)
-        trials = _score_samples(tiered, samples, oset8)
+        [trials] = score_samples([(tiered, samples)], oset8)
         assert [t.trial for t in trials] == [0, 1, 2]
         for trial in trials:
             assert not trial.failed
@@ -216,7 +216,7 @@ class TestReconstruct:
         assert len(samples) == 5
         assert provider.calls("reconstructor") == 5
         assert samples[2].startswith("parse error:")
-        trials = _score_samples(tiered, samples, oset8)
+        [trials] = score_samples([(tiered, samples)], oset8)
         bad = trials[2]
         assert bad.failed
         assert bad.source is None
@@ -229,7 +229,7 @@ class TestReconstruct:
         samples = reconstruct("anything", bundle, provider, k=2)
         assert all(sample.startswith("provider error:") for sample in samples)
         # failures score WORST without reaching an opponent set
-        trials = _score_samples(tiered, samples, None)
+        [trials] = score_samples([(tiered, samples)], None)
         assert all(t.failed for t in trials)
         assert all(t.error.startswith("provider error:") for t in trials)
 
@@ -283,10 +283,10 @@ class TestAggregateTrials:
 
 
 class TestScoreProgram:
+    """One program scored alone: ``lint_score`` of a one-program set."""
+
     def test_echo_scores_perfect(self, bundle, tiered, oset8):
-        run = score_program(
-            tiered, "tiered", oset8, bundle, EchoProvider(), k=3
-        )
+        _, [run] = lint_score([("tiered", tiered)], oset8, bundle, EchoProvider(), k=3)
         assert run.aggregated == {"action": 1.0, "outcome": 1.0, "feature": 0.0}
         assert run.error is None
         assert run.explanation == print_program(tiered)
@@ -297,15 +297,13 @@ class TestScoreProgram:
     def test_empty_provider_matches_direct_compare(
         self, bundle, tiered, empty_program, oset8
     ):
-        run = score_program(
-            tiered, "tiered", oset8, bundle, EmptyProvider(), k=2
-        )
-        report = compare(tiered, empty_program, oset8)
+        _, [run] = lint_score([("tiered", tiered)], oset8, bundle, EmptyProvider(), k=2)
+        report = compare([(tiered, empty_program)], oset8)[0]
         assert run.aggregated == pytest.approx(report.as_dict())
         assert all(t.source == "" for t in run.trials)
 
     def test_mock_provenance(self, bundle, tiered, oset8):
-        run = score_program(tiered, "tiered", oset8, bundle, EchoProvider(), k=2)
+        _, [run] = lint_score([("tiered", tiered)], oset8, bundle, EchoProvider(), k=2)
         prov = run.provenance
         assert prov["provider"] == "mock"
         assert prov["model"] == "mock-echo"
@@ -328,7 +326,7 @@ class TestScoreProgram:
                 "verifier": JARGON_VERDICT,
             }
         )
-        run = score_program(tiered, "tiered", oset8, bundle, provider)
+        _, [run] = lint_score([("tiered", tiered)], oset8, bundle, provider)
         assert run.error is not None and "rejected all 3" in run.error
         assert run.explanation is None
         assert run.trials == []
@@ -337,7 +335,7 @@ class TestScoreProgram:
 
     def test_provider_error_scores_worst(self, bundle, tiered, oset8, tmp_path):
         provider = ReplayCacheProvider(tmp_path)
-        run = score_program(tiered, "tiered", oset8, bundle, provider)
+        _, [run] = lint_score([("tiered", tiered)], oset8, bundle, provider)
         assert run.error.startswith("provider error:")
         assert run.aggregated == WORST
 
@@ -349,11 +347,11 @@ class TestScoreProgram:
                 "reconstructor": wrap("strategy", STRATEGY_RECONSTRUCTION),
             }
         )
-        run = score_program(tiered, "tiered", oset16, bundle, provider, k=2)
+        _, [run] = lint_score([("tiered", tiered)], oset16, bundle, provider, k=2)
         assert run.error is None
         assert run.explanation == STRATEGY_EXPLANATION.strip()
         reconstruction = parse(STRATEGY_RECONSTRUCTION)
-        expected = compare(tiered, reconstruction, oset16)
+        expected = compare([(tiered, reconstruction)], oset16)[0]
         assert run.aggregated == pytest.approx(expected.as_dict())
         assert 0.0 < run.aggregated["action"] < 1.0
         assert all(
@@ -361,7 +359,7 @@ class TestScoreProgram:
         )
 
     def test_to_json_shape(self, bundle, tiered, oset8):
-        run = score_program(tiered, "tiered", oset8, bundle, EchoProvider(), k=1)
+        _, [run] = lint_score([("tiered", tiered)], oset8, bundle, EchoProvider(), k=1)
         payload = run.to_json()
         assert set(payload) == {
             "program_id",
@@ -377,12 +375,10 @@ class TestScoreProgram:
 
     def test_replay_cache_reproduces_run(self, bundle, tiered, oset8, tmp_path):
         recording = CachingProvider(tmp_path / "cache", EchoProvider())
-        original = score_program(
-            tiered, "tiered", oset8, bundle, recording, k=2
-        )
+        _, [original] = lint_score([("tiered", tiered)], oset8, bundle, recording, k=2)
         replay = ReplayCacheProvider(tmp_path / "cache", model="mock-echo")
-        replayed_a = score_program(tiered, "tiered", oset8, bundle, replay, k=2)
-        replayed_b = score_program(tiered, "tiered", oset8, bundle, replay, k=2)
+        _, [replayed_a] = lint_score([("tiered", tiered)], oset8, bundle, replay, k=2)
+        _, [replayed_b] = lint_score([("tiered", tiered)], oset8, bundle, replay, k=2)
         assert replayed_a.aggregated == original.aggregated
         assert replayed_a.explanation == original.explanation
         assert [t.to_json() for t in replayed_a.trials] == [
@@ -405,7 +401,7 @@ class TestLintScore:
         subset = pool8[:3]
         score, runs = lint_score(subset, oset8, bundle, EmptyProvider(), k=1)
         reports = [
-            compare(program, empty_program, oset8) for _, program in subset
+            compare([(program, empty_program)], oset8)[0] for _, program in subset
         ]
         assert score["action"] == pytest.approx(
             sum(r.action for r in reports) / len(reports)
@@ -459,6 +455,25 @@ class TestLintScore:
             outputs[workers] = [json.dumps(run.to_json(), sort_keys=True) for run in runs]
         assert outputs[8] == outputs[1]
 
+    def test_each_sample_pair_is_keyed_once(self, bundle, pool8, keyed_pairs):
+        """One ``compare`` call measures every (π, sample) pair, and no
+        caller looks a report up again."""
+        oset = OpponentSet.from_file(data_path("opponents8.json"))
+        _, runs = lint_score(
+            pool8, oset, bundle, LineDropProvider(q=0.3, seed=4), k=3
+        )
+        parsed = [
+            (run.source, trial.source)
+            for run in runs
+            for trial in run.trials
+            if not trial.failed
+        ]
+        assert parsed
+        assert [
+            (print_program(pi), print_program(sample)) for pi, sample in keyed_pairs
+        ] == parsed
+        assert len({id(sample) for _, sample in keyed_pairs}) == len(parsed)
+
     def test_rejects_empty_inputs(self, bundle, oset8):
         with pytest.raises(ValueError):
             lint_score([], oset8, bundle, EchoProvider())
@@ -469,25 +484,26 @@ class TestLintScore:
 
 
 class TestKshotBaseline:
+    """``kshot_baseline`` picks the best of one program's k-shot trials,
+    which ``score_samples`` scores."""
+
     def test_echo_is_reflexive(self, bundle, tiered, oset8):
         samples = kshot_samples("a small map", bundle, EchoProvider(), 3, tiered)
-        result = kshot_baseline(samples, tiered, oset8)
-        assert (
-            result.report.action,
-            result.report.outcome,
-            result.report.feature,
-        ) == (1.0, 1.0, 0.0)
-        assert result.best_trial == 0
-        assert len(result.trials) == 3
+        [trials] = score_samples([(tiered, samples)], oset8)
+        best = kshot_baseline(trials)
+        assert (best.action, best.outcome, best.feature) == (1.0, 1.0, 0.0)
+        assert best.trial == 0
+        assert len(trials) == 3
 
     def test_empty_provider_matches_compare(
         self, bundle, tiered, empty_program, oset8
     ):
         samples = kshot_samples("a small map", bundle, EmptyProvider(), 2, tiered)
-        result = kshot_baseline(samples, tiered, oset8)
-        report = compare(tiered, empty_program, oset8)
-        assert result.report.action == pytest.approx(report.action)
-        assert result.report.feature == pytest.approx(report.feature)
+        [trials] = score_samples([(tiered, samples)], oset8)
+        best = kshot_baseline(trials)
+        report = compare([(tiered, empty_program)], oset8)[0]
+        assert best.action == pytest.approx(report.action)
+        assert best.feature == pytest.approx(report.feature)
 
     def test_best_trial_selection(self, bundle, tiered, oset8):
         perfect = print_program(tiered)
@@ -501,17 +517,18 @@ class TestKshotBaseline:
             }
         )
         samples = kshot_samples("map", bundle, provider, 3, tiered)
-        result = kshot_baseline(samples, tiered, oset8)
-        assert result.best_trial == 2
-        assert result.report.action == 1.0
-        assert result.trials[0].error is not None
+        [trials] = score_samples([(tiered, samples)], oset8)
+        best = kshot_baseline(trials)
+        assert best.trial == 2
+        assert best.action == 1.0
+        assert trials[0].error is not None
 
     def test_tie_goes_to_earliest_trial(self, bundle, tiered, oset8):
         perfect = print_program(tiered)
         provider = ScriptedProvider({"kshot": wrap("strategy", perfect)})
         samples = kshot_samples("map", bundle, provider, 3, tiered)
-        result = kshot_baseline(samples, tiered, oset8)
-        assert result.best_trial == 0
+        [trials] = score_samples([(tiered, samples)], oset8)
+        assert kshot_baseline(trials).trial == 0
 
     def test_rejects_non_positive_k(self, bundle, tiered, oset8):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""compare_all's shards: identical results at any CPU count, and no process
-left behind when a shard fails.
+"""The shards of ``compare``: identical results at any CPU count, and no
+process left behind when a shard fails.
 
 ``behavior._cpu_count`` is patched to pretend to a CPU count; 16 exceeds the
 eight opponents of standard-8, so it also checks the cap.  Each run starts
@@ -19,7 +19,7 @@ from lintscore.metrics import (
     ShardError,
     action_metric,
     behavior,
-    compare_all,
+    compare,
     feature_metric,
     outcome_metric,
 )
@@ -58,7 +58,7 @@ def kept(oset):
 
 
 @pytest.mark.parametrize("per_unit", [False, True])
-def test_compare_all_equals_one_pair_at_a_time(monkeypatch, pool8, per_unit):
+def test_batches_equal_one_pair_at_a_time(monkeypatch, pool8, per_unit):
     """Two batches at every CPU count against the three metrics computed
     pair by pair in one process, which play each π and then its other: the
     same reports, and the same matches kept in the same order."""
@@ -78,8 +78,8 @@ def test_compare_all_equals_one_pair_at_a_time(monkeypatch, pool8, per_unit):
     for count in CPU_COUNTS:
         pretend_cpus(monkeypatch, count)
         oset = fresh_set()
-        reports = compare_all(pairs[:9], oset, per_unit)
-        reports += compare_all(pairs[9:], oset, per_unit)
+        reports = compare(pairs[:9], oset, per_unit)
+        reports += compare(pairs[9:], oset, per_unit)
         assert reports == expected, count
         _, cache, played = kept(oset)
         assert (cache, played) == (expected_cache, expected_played), count
@@ -169,7 +169,7 @@ def test_child_failure_raises_with_its_traceback(monkeypatch, pool8):
     fail_in_children(monkeypatch, raise_error)
     oset = fresh_set()
     with pytest.raises(ShardError) as excinfo:
-        compare_all(some_pairs(pool8), oset)
+        compare(some_pairs(pool8), oset)
     assert "RuntimeError: shard failure under test" in excinfo.value.child_traceback
     assert_no_child_left()
     assert_untouched(oset)
@@ -180,7 +180,7 @@ def test_child_that_dies_silently_raises(monkeypatch, pool8):
     fail_in_children(monkeypatch, lambda: os._exit(3))
     oset = fresh_set()
     with pytest.raises(ShardError, match="sent no result"):
-        compare_all(some_pairs(pool8), oset)
+        compare(some_pairs(pool8), oset)
     assert_no_child_left()
     assert_untouched(oset)
 
@@ -200,7 +200,7 @@ def test_own_shard_failure_kills_and_reaps_the_children(monkeypatch, pool8):
     oset = fresh_set()
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="shard failure under test"):
-        compare_all(some_pairs(pool8), oset)
+        compare(some_pairs(pool8), oset)
     assert time.monotonic() - start < 30
     assert_no_child_left()
     assert_untouched(oset)
@@ -222,7 +222,7 @@ def test_one_cpu_starts_no_process(monkeypatch, pool8):
     pretend_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", forbid_fork)
     oset = fresh_set()
-    reports = compare_all(some_pairs(pool8), oset)
+    reports = compare(some_pairs(pool8), oset)
     assert len(reports) == len(some_pairs(pool8))
 
 
@@ -233,7 +233,7 @@ def test_other_threads_start_no_process(monkeypatch, pool8):
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        reports = compare_all(some_pairs(pool8), fresh_set())
+        reports = compare(some_pairs(pool8), fresh_set())
     finally:
         release.set()
         waiting.join(timeout=60)
@@ -244,7 +244,7 @@ def test_other_threads_start_no_process(monkeypatch, pool8):
 def test_measured_pairs_start_no_process(monkeypatch, pool8):
     pretend_cpus(monkeypatch, 2)
     oset = fresh_set()
-    first = compare_all(some_pairs(pool8), oset)
+    first = compare(some_pairs(pool8), oset)
     monkeypatch.setattr(os, "fork", forbid_fork)
-    assert compare_all(some_pairs(pool8), oset) == first
+    assert compare(some_pairs(pool8), oset) == first
     assert_no_child_left()

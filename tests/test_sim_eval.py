@@ -613,7 +613,7 @@ class TestAction:
                         for action in entry.actions.values()
                     )
         for pi, other in zip(programs, programs[1:]):
-            compare(pi, other, oset, per_unit=True)
+            compare([(pi, other)], oset, per_unit=True)
         assert returned > 0
         assert [
             (a.op, a.target, a.cell, a.unit_type, a.source) for a in shared
