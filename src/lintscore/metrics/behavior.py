@@ -14,6 +14,7 @@ forked processes and still sum exactly what one process would.
 """
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import threading
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import BinaryIO
 
 from ..microlang import Program
-from ..sim import MatchRecord, resolve_joint, restore_state
+from ..sim import GameState, MatchRecord, resolve_joint, restore_state
 from .opponents import OpponentSet
 
 
@@ -52,7 +53,11 @@ def decision_states(records: list[MatchRecord]) -> dict[tuple, dict]:
 
 
 def _agreements(
-    mine: MatchRecord, theirs: MatchRecord, other: Program, per_unit: bool
+    mine: MatchRecord,
+    theirs: MatchRecord,
+    other: Program,
+    per_unit: bool,
+    views: dict[tuple, GameState],
 ) -> list[float]:
     """Per decision state of ``mine``, in order, how far ``other`` issues
     the same resolved joint assignment there (``per_unit`` grades each unit
@@ -61,14 +66,19 @@ def _agreements(
     ``other`` is only replayed on states that ``theirs`` never visited:
     where it did, its recorded assignment is the replay, because evaluation
     is a pure function of the snapshot.  Snapshots carry the opponent's
-    seed, so no other opponent's match visits them.
+    seed, so no other opponent's match visits them, and a replay reads the
+    state ``views`` holds for its snapshot, restoring and adding it when it
+    is missing.
     """
     recorded = decision_states([theirs])
     values = []
     for snapshot, assigned in decision_states([mine]).items():
         replayed = recorded.get(snapshot)
         if replayed is None:
-            replayed = resolve_joint(other, restore_state(snapshot), 0)
+            state = views.get(snapshot)
+            if state is None:
+                state = views[snapshot] = restore_state(snapshot)
+            replayed = resolve_joint(other, state, 0)
         if not per_unit:
             values.append(1.0 if assigned == replayed else 0.0)
             continue
@@ -100,11 +110,15 @@ def _feature(distances: list[float]) -> float:
 
 
 def _parts(
-    mine: MatchRecord, theirs: MatchRecord, other: Program, per_unit: bool
+    mine: MatchRecord,
+    theirs: MatchRecord,
+    other: Program,
+    per_unit: bool,
+    views: dict[tuple, GameState],
 ) -> tuple[list[float], bool, float]:
     """One opponent's share of all three measures."""
     return (
-        _agreements(mine, theirs, other, per_unit),
+        _agreements(mine, theirs, other, per_unit, views),
         mine.outcome == theirs.outcome,
         feature_distance(mine.features[0], theirs.features[0]),
     )
@@ -119,7 +133,7 @@ def action_metric(
     A policy visiting no decision states has nothing to disagree on: 1.0.
     """
     return _action(
-        _agreements(mine, theirs, other, per_unit)
+        _agreements(mine, theirs, other, per_unit, {})
         for mine, theirs in zip(oset.matches(pi), oset.matches(other))
     )
 
@@ -247,10 +261,15 @@ def _opponent(
     jobs: _Jobs,
     per_unit: bool,
 ) -> tuple[list[MatchRecord], list[MatchRecord], list[tuple]]:
-    """Play the batch against opponent ``index``; each pair's parts there."""
-    new, records = oset.play(index, programs)
+    """Play the batch against opponent ``index``; each pair's parts there.
+
+    The matches and replays share one read-only state per distinct snapshot
+    they restore, kept only while this opponent's work lasts."""
+    views: dict[tuple, GameState] = {}
+    new, records = oset.play(index, programs, views)
     parts = [
-        _parts(records[a], records[b], other, per_unit) for a, b, other in jobs
+        _parts(records[a], records[b], other, per_unit, views)
+        for a, b, other in jobs
     ]
     return new, records, parts
 
@@ -337,10 +356,17 @@ def _receive(source: BinaryIO, oset: OpponentSet, index: int, pid: int) -> tuple
     """Opponent ``index``'s result: the next message of child ``pid``."""
     import pickle  # see _fork
 
+    # a message is many new objects and no cycles: collections during the
+    # load would only scan them again and again
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         failure, message = pickle.load(source)
     except (EOFError, pickle.UnpicklingError) as exc:
         raise ShardError(f"shard process {pid} sent no result: {exc!r}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if failure is not None:
         raise ShardError(f"shard process {pid} failed", failure)
     packed, parts = message

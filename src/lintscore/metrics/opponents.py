@@ -97,16 +97,23 @@ class OpponentSet:
         """One record per opponent, evaluated policy playing as player 0."""
         programs = [(self._key_text(program), program)]
         with self.lock:
-            results = [self.play(index, programs) for index in range(len(self))]
+            results = [
+                self.play(index, programs, {}) for index in range(len(self))
+            ]
             self.store(programs, results)
         return [records[0] for _, records in results]
 
     def play(
-        self, index: int, programs: list[tuple[str, Program]]
+        self,
+        index: int,
+        programs: list[tuple[str, Program]],
+        views: dict[tuple, GameState],
     ) -> tuple[list[MatchRecord], list[MatchRecord]]:
         """The records of distinct (canonical text, program) pairs against
         opponent ``index``, playing the missing ones in order, each following
         the records played before it; nothing is stored (see :meth:`store`).
+        The matches share ``views``, states restored from snapshots of
+        opponent ``index``'s matches (see :func:`play_match`).
 
         Returns the new distinct records and one record per program.
         """
@@ -121,6 +128,7 @@ class OpponentSet:
                     self.initial_state(index),
                     max_ticks=self.max_ticks,
                     earlier=played,
+                    views=views,
                 )
                 if all(r is not record for r in played):
                     played.append(record)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from ..microlang.ast import Program
 from .actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN, Action
-from .evaluator import chebyshev, resolve_joint
+from .evaluator import distances, resolve_joint
 from .state import GameState, restore_state
 from .units import BARRACKS, BASE, DEFAULT_STATS, HEAVY, LIGHT, RANGED, WORKER
 
@@ -44,6 +44,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
     """
     stats = DEFAULT_STATS
     units = state.units
+    chebyshev = distances(state.width, state.height).chebyshev
     ordered = sorted(actions.items())
 
     damage: dict[int, int] = {}
@@ -56,7 +57,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
             victim is None
             or victim.owner is None
             or victim.owner == attacker.owner
-            or chebyshev(attacker.pos, victim.pos)
+            or chebyshev[attacker.x][attacker.y][victim.x][victim.y]
             > stats[attacker.kind].attack_range
         ):
             counters.dropped += 1
@@ -77,7 +78,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
                 node is None
                 or node.resources <= 0
                 or unit.carried > 0
-                or chebyshev(unit.pos, node.pos) > 1
+                or chebyshev[unit.x][unit.y][node.x][node.y] > 1
             ):
                 counters.dropped += 1
                 continue
@@ -90,7 +91,7 @@ def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) 
                 depot is None
                 or depot.owner != unit.owner
                 or unit.carried <= 0
-                or chebyshev(unit.pos, depot.pos) > 1
+                or chebyshev[unit.x][unit.y][depot.x][depot.y] > 1
             ):
                 counters.dropped += 1
                 continue
@@ -207,6 +208,7 @@ def play_match(
     max_ticks: int = 2000,
     *,
     earlier: Sequence[MatchRecord] = (),
+    views: dict[tuple, GameState] | None = None,
 ) -> MatchRecord:
     """Run both policies to elimination, a repeated state, or the tick limit.
 
@@ -222,7 +224,15 @@ def play_match(
     snapshot, and the record supplies the next decision state. A match that
     repeats a record to its end returns that record; one that departs from
     it shares the common prefix's entries and is simulated from there on.
+
+    ``views`` maps snapshots to states restored from them: a followed
+    snapshot is restored only when it is missing, and its state is added.
+    Evaluation only reads these states, so callers share them between
+    matches; the match resumes on a fresh state from
+    :meth:`DecisionEntry.resume`, never on a view.
     """
+    if views is None:
+        views = {}
     entries: list[DecisionEntry] = []
     following = list(earlier)
     diverged: dict[int, Action] | None = None
@@ -232,7 +242,9 @@ def play_match(
         if index == len(record.entries):
             return record
         entry = record.entries[index]
-        state = restore_state(entry.snapshot)
+        state = views.get(entry.snapshot)
+        if state is None:
+            state = views[entry.snapshot] = restore_state(entry.snapshot)
         joint0 = resolve_joint(program0, state, 0)
         following = [r for r in following if r.entries[index].actions == joint0]
         if following:

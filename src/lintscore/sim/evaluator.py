@@ -23,9 +23,13 @@ closest enemy in range. A result that does not depend on the situation
 
 Evaluation reads the units through the state's :class:`~.state.Sides` split
 (each side's units and kind counts, the live resource nodes), built once
-per set of units and shared by both players; evaluation never changes it.
-Its lists ascend by id because ``GameState.units`` does, so nothing here
-sorts.
+per set of units and shared by both players. Its lists ascend by id because
+``GameState.units`` does, so nothing here sorts. Evaluation never changes
+the state or its split, so every evaluation on one snapshot may share one
+restored state (see :func:`~.engine.play_match`).
+
+Distances and the cells one move away are read from the tables of the map's
+size (:func:`distances`), built the first time a run meets that size.
 
 Each program is lowered once to one generated Python function, cached for
 the program's lifetime. Under the unit table, ``units.DEFAULT_STATS``, every
@@ -85,8 +89,49 @@ _MOVE_DELTAS = (
 _ATTACK_VERBS = ("attack", "attack_if_in_range")
 
 
-def chebyshev(a: Cell, b: Cell) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+class Distances:
+    """Lookup tables for one map size, indexed by cells' coordinates:
+    ``chebyshev[x][y][x2][y2]`` and ``manhattan[x][y][x2][y2]`` are the
+    distances between (x, y) and (x2, y2), and ``neighbours[x][y]`` lists the
+    in-bounds cells one move from (x, y) in ``_MOVE_DELTAS`` order.  Each
+    distance table holds (width * height) ** 2 entries."""
+
+    __slots__ = ("chebyshev", "manhattan", "neighbours")
+
+    def __init__(self, width: int, height: int):
+        xs, ys = range(width), range(height)
+        self.chebyshev = tuple(
+            tuple(
+                tuple(tuple(max(abs(x - a), abs(y - b)) for b in ys) for a in xs)
+                for y in ys
+            )
+            for x in xs
+        )
+        self.manhattan = tuple(
+            tuple(
+                tuple(tuple(abs(x - a) + abs(y - b) for b in ys) for a in xs)
+                for y in ys
+            )
+            for x in xs
+        )
+        self.neighbours = tuple(
+            tuple(
+                tuple(
+                    (x + dx, y + dy)
+                    for dx, dy in _MOVE_DELTAS
+                    if 0 <= x + dx < width and 0 <= y + dy < height
+                )
+                for y in ys
+            )
+            for x in xs
+        )
+
+
+@functools.cache
+def distances(width: int, height: int) -> Distances:
+    """The tables of one map size, built on first use: a run pays only for
+    the sizes it plays on."""
+    return Distances(width, height)
 
 
 def _stable_index(key: tuple, size: int) -> int:
@@ -94,27 +139,30 @@ def _stable_index(key: tuple, size: int) -> int:
     return int.from_bytes(digest, "big") % size
 
 
-def _closest(unit: Unit, pool: list[Unit], limit: int) -> Unit | None:
+def _closest(
+    unit: Unit, pool: list[Unit], limit: int, chebyshev: tuple
+) -> Unit | None:
     """The unit of ``pool`` at the least Chebyshev distance from ``unit``
-    below ``limit``; pools ascend by id, so the lowest id wins ties."""
+    below ``limit``, by the ``chebyshev`` table of :class:`Distances`;
+    pools ascend by id, so the lowest id wins ties."""
     best: Unit | None = None
-    x, y = unit.x, unit.y
+    row = chebyshev[unit.x][unit.y]
     for other in pool:
-        dist = max(abs(x - other.x), abs(y - other.y))
+        dist = row[other.x][other.y]
         if dist < limit:
             best, limit = other, dist
     return best
 
 
-# selection criterion -> chooser's x and y -> sort key; ties go to the
-# lowest id. Built once rather than five closures per selection; ``Closest``
-# is :func:`_closest`.
+# selection criterion -> Chebyshev distances from the chooser's cell -> sort
+# key; ties go to the lowest id. Built once rather than five closures per
+# selection; ``Closest`` is :func:`_closest`.
 _SELECT_KEYS = {
-    "Strongest": lambda x, y: lambda v: (-DEFAULT_STATS[v.kind].attack_damage, v.uid),
-    "Weakest": lambda x, y: lambda v: (DEFAULT_STATS[v.kind].attack_damage, v.uid),
-    "Farthest": lambda x, y: lambda v: (-max(abs(x - v.x), abs(y - v.y)), v.uid),
-    "LessHealthy": lambda x, y: lambda v: (v.hp, v.uid),
-    "MostHealthy": lambda x, y: lambda v: (-v.hp, v.uid),
+    "Strongest": lambda row: lambda v: (-DEFAULT_STATS[v.kind].attack_damage, v.uid),
+    "Weakest": lambda row: lambda v: (DEFAULT_STATS[v.kind].attack_damage, v.uid),
+    "Farthest": lambda row: lambda v: (-row[v.x][v.y], v.uid),
+    "LessHealthy": lambda row: lambda v: (v.hp, v.uid),
+    "MostHealthy": lambda row: lambda v: (-v.hp, v.uid),
 }
 
 # command verb -> its shared stand-still result
@@ -130,6 +178,10 @@ class _Context:
     def __init__(self, state: GameState, player: int):
         self.state = state
         self.width, self.height = state.width, state.height
+        tables = distances(state.width, state.height)
+        self.chebyshev = tables.chebyshev
+        self.manhattan = tables.manhattan
+        self.neighbours = tables.neighbours
         self.occupancy = state.occupancy
         sides = state.sides()
         self.own = sides.units[player]
@@ -195,10 +247,13 @@ class _Context:
         return None
 
     def nearest_enemy_distance(self, cell: Cell) -> int:
+        """The Chebyshev distance from ``cell``, which is on the map, to the
+        nearest enemy; 0 without enemies."""
         if not self.enemies:
             return 0
         x, y = cell
-        return min(max(abs(x - e.x), abs(y - e.y)) for e in self.enemies)
+        row = self.chebyshev[x][y]
+        return min(row[e.x][e.y] for e in self.enemies)
 
     def next_cell(self, unit: Unit, goal: Cell, sign: int) -> Cell | None:
         """Free adjacent cell improving (``sign`` 1) or worsening (``sign``
@@ -206,16 +261,15 @@ class _Context:
         first in ``_MOVE_DELTAS`` order on ties. Improving by both lets a
         blocked diagonal approach slide around the obstacle."""
         gx, gy = goal
+        chebyshev, manhattan = self.chebyshev[gx][gy], self.manhattan[gx][gy]
         x, y = unit.x, unit.y
-        dx, dy = abs(x - gx), abs(y - gy)
         # the best pair so far, times sign; the unit's own is the bar
-        far, path = sign * max(dx, dy), sign * (dx + dy)
+        far, path = sign * chebyshev[x][y], sign * manhattan[x][y]
         best: Cell | None = None
-        for mx, my in _MOVE_DELTAS:
-            dx, dy = abs(x + mx - gx), abs(y + my - gy)
-            cheb, manh = sign * max(dx, dy), sign * (dx + dy)
+        for cell in self.neighbours[x][y]:
+            cx, cy = cell
+            cheb, manh = sign * chebyshev[cx][cy], sign * manhattan[cx][cy]
             if cheb < far or (cheb == far and manh < path):
-                cell = (x + mx, y + my)
                 if self.free_cell(cell):
                     best, far, path = cell, cheb, manh
         return best
@@ -224,17 +278,20 @@ class _Context:
         if not pool:
             return None
         if criterion == "Closest":  # no in-bounds distance reaches w + h
-            return _closest(unit, pool, self.width + self.height)
+            return _closest(unit, pool, self.width + self.height, self.chebyshev)
         if criterion == "Random":
             ids = tuple(u.uid for u in pool)
             idx = _stable_index((self.state.seed, unit.uid, ids), len(pool))
             return pool[idx]
-        return min(pool, key=_SELECT_KEYS[criterion](unit.x, unit.y))
+        row = self.chebyshev[unit.x][unit.y]
+        return min(pool, key=_SELECT_KEYS[criterion](row))
 
     def idle_resolution(self, unit: Unit) -> Action:
         kind = DEFAULT_STATS[unit.kind]
         if kind.can_attack:
-            victim = _closest(unit, self.enemies, kind.attack_range + 1)
+            victim = _closest(
+                unit, self.enemies, kind.attack_range + 1, self.chebyshev
+            )
             if victim is not None:
                 return Action(ATTACK, target=victim.uid, source="idle")
         return _STANDS["idle"]
@@ -247,8 +304,9 @@ class _Context:
 
 def _within_distance(ctx: _Context, args: tuple) -> bool:
     limit = args[0]
+    chebyshev = ctx.chebyshev
     return any(
-        chebyshev(mine.pos, enemy.pos) <= limit
+        chebyshev[mine.x][mine.y][enemy.x][enemy.y] <= limit
         for mine in ctx.own
         for enemy in ctx.enemies
     )
@@ -274,8 +332,9 @@ def _opponent_kills_in_one(ctx: _Context, args: tuple) -> bool:
 
 def _in_opponent_range(ctx: _Context, args: tuple) -> bool:
     stats = DEFAULT_STATS
+    chebyshev = ctx.chebyshev
     return any(
-        chebyshev(mine.pos, enemy.pos) <= stats[enemy.kind].attack_range
+        chebyshev[mine.x][mine.y][enemy.x][enemy.y] <= stats[enemy.kind].attack_range
         for mine in ctx.own
         for enemy in ctx.enemies
         if stats[enemy.kind].can_attack
@@ -284,8 +343,9 @@ def _in_opponent_range(ctx: _Context, args: tuple) -> bool:
 
 def _opponent_in_player_range(ctx: _Context, args: tuple) -> bool:
     stats = DEFAULT_STATS
+    chebyshev = ctx.chebyshev
     return any(
-        chebyshev(mine.pos, enemy.pos) <= stats[mine.kind].attack_range
+        chebyshev[mine.x][mine.y][enemy.x][enemy.y] <= stats[mine.kind].attack_range
         for mine in ctx.own
         if stats[mine.kind].can_attack
         for enemy in ctx.enemies
@@ -354,7 +414,10 @@ def _attack(cmd: Command, unit: Unit, ctx: _Context) -> None:
     victim = ctx.select(unit, ctx.enemies, cmd.args[0])
     if victim is None:
         return
-    if chebyshev(unit.pos, victim.pos) <= DEFAULT_STATS[unit.kind].attack_range:
+    if (
+        ctx.chebyshev[unit.x][unit.y][victim.x][victim.y]
+        <= DEFAULT_STATS[unit.kind].attack_range
+    ):
         ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack"))
     else:
         # every kind that can attack can move (a test pins this)
@@ -362,7 +425,9 @@ def _attack(cmd: Command, unit: Unit, ctx: _Context) -> None:
 
 
 def _attack_if_in_range(cmd: Command, unit: Unit, ctx: _Context) -> None:
-    victim = _closest(unit, ctx.enemies, DEFAULT_STATS[unit.kind].attack_range + 1)
+    victim = _closest(
+        unit, ctx.enemies, DEFAULT_STATS[unit.kind].attack_range + 1, ctx.chebyshev
+    )
     if victim is None:
         return
     ctx.assign(unit, Action(ATTACK, target=victim.uid, source="attack_if_in_range"))
@@ -376,7 +441,7 @@ def _harvest(cmd: Command, unit: Unit, ctx: _Context) -> None:
         depot = ctx.select(unit, bases, "Closest")
         if depot is None:
             return
-        if chebyshev(unit.pos, depot.pos) <= 1:
+        if ctx.chebyshev[unit.x][unit.y][depot.x][depot.y] <= 1:
             ctx.assign(unit, Action(DEPOSIT, target=depot.uid, source="harvest"))
         else:
             _approach(unit, depot.pos, "harvest", ctx)
@@ -384,7 +449,7 @@ def _harvest(cmd: Command, unit: Unit, ctx: _Context) -> None:
     node = ctx.select(unit, ctx.nodes, "Closest")
     if node is None:
         return
-    if chebyshev(unit.pos, node.pos) <= 1:
+    if ctx.chebyshev[unit.x][unit.y][node.x][node.y] <= 1:
         ctx.assign(unit, Action(HARVEST, target=node.uid, source="harvest"))
     else:
         _approach(unit, node.pos, "harvest", ctx)

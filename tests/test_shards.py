@@ -5,6 +5,7 @@ process left behind when a shard fails.
 eight opponents of standard-8, so it also checks the cap.  Each run starts
 from a fresh opponent set, so every count measures everything itself.
 """
+import gc
 import json
 import os
 import threading
@@ -239,6 +240,24 @@ def test_other_threads_start_no_process(monkeypatch, pool8):
         waiting.join(timeout=60)
     assert not waiting.is_alive()
     assert len(reports) == len(some_pairs(pool8))
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_receiving_keeps_the_collector_state(monkeypatch, pool8, collecting):
+    """``_receive`` pauses the cyclic collector while it loads a message and
+    leaves it as it found it, also when the child sent nothing."""
+    pretend_cpus(monkeypatch, 2)
+    enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        compare(some_pairs(pool8), fresh_set())
+        assert gc.isenabled() == collecting
+        fail_in_children(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(ShardError):
+            compare(some_pairs(pool8), fresh_set())
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_measured_pairs_start_no_process(monkeypatch, pool8):
