@@ -18,15 +18,16 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .metrics.baselines import closest_feature, closest_syntax, rand_index
-from .metrics.behavior import BehaviorReport, compare, mean_feature_vector
+from .metrics.behavior import compare, mean_feature_vector
 from .metrics.opponents import OpponentSet, standard_opponents
 from .microlang import ParseError, Program, parse, print_program, syntax_set
 from .obfuscate import obfuscate
 from .pipeline import (
     LintRun,
+    draw_runs,
+    finish_runs,
     kshot_baseline,
     kshot_samples,
-    lint_score,
     load_bundle,
     load_map_description,
     make_provider,
@@ -366,8 +367,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every configured condition and assemble the summary table.
 
     Conditions, in row order: LINT on the originals, LINT at each obfuscation
-    level, then the baselines.  Per-program errors are collected; only a run
-    where every program failed is treated as a total failure by the CLI.
+    level, then the baselines.  The run has the three phases of
+    :func:`~.pipeline.lint_score`.  First every provider call, in row order
+    (each LINT row's draws, then the k-shot samples), and the Rand,
+    Rand-Other and Closest-Syntax picks.  Then one :func:`score_samples`
+    batch measures the pairs of every row, each pick as its program's one
+    sample; Closest-Feature picks by the matches that batch played and
+    measures its own pairs in a second, small batch.  Last, the rows are
+    built in row order and program order.  Per-program errors are
+    collected; only a run where every program failed is treated as a total
+    failure by the CLI.
     """
 
     programs = load_program_set(cfg.programs)
@@ -375,93 +384,102 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bundle = load_bundle(cfg.track)
     provider = make_provider(cfg.provider)
 
-    values: dict[str, dict[str, list[float]]] = {}
+    subjects = {"LINT": programs}
+    for level in cfg.obfuscation_levels:
+        subjects[f"LINT-L{level}"] = [
+            (ident, obfuscate(program, level)) for ident, program in programs
+        ]
     runs: dict[str, list[LintRun]] = {}
-    baseline_details: dict[str, list[dict]] = {}
-    errors: list[dict] = []
-    order: list[str] = []
-
-    def record_pipeline(label: str, subjects: list[tuple[str, Program]]) -> None:
-        _, batch = lint_score(
-            subjects,
+    # per row, each program's (π, samples) for the one batch
+    batches: dict[str, list[tuple[Program, list[Program | str]]]] = {}
+    for label, rows in subjects.items():
+        runs[label], batches[label] = draw_runs(
+            rows,
             oset,
             bundle,
             provider,
             k=cfg.k,
             max_retries=cfg.max_retries,
             literal_min=cfg.literal_min,
-            per_unit=cfg.per_unit,
             workers=cfg.workers,
         )
-        runs[label] = batch
-        values[label] = {
-            metric: [run.aggregated[metric] for run in batch]
-            for metric in METRIC_COLUMNS
-        }
-        order.append(label)
-        for run in batch:
-            if run.error is not None:
-                errors.append(
-                    {
-                        "condition": label,
-                        "program_id": run.program_id,
-                        "error": run.error,
-                    }
-                )
 
-    record_pipeline("LINT", programs)
-    for level in cfg.obfuscation_levels:
-        obfuscated = [
-            (ident, obfuscate(program, level)) for ident, program in programs
-        ]
-        record_pipeline(f"LINT-L{level}", obfuscated)
-
+    baselines = [key for key in BASELINE_KEYS if key in cfg.baselines]
     pool_other = None
-    if "rand-other" in cfg.baselines:
+    if "rand-other" in baselines:
         pool_other = load_program_set(cfg.pool_other)
-    map_description = (
-        resolve_map_description(cfg) if "kshot" in cfg.baselines else None
-    )
-
-    for key in BASELINE_KEYS:
-        if key not in cfg.baselines:
-            continue
-        label = BASELINE_LABELS[key]
-        # every program's pick (or k-shot samples) first, then one
-        # measurement of the whole row, then the row in program order
+    picks: dict[str, list[tuple[str, Program]]] = {}
+    for key in baselines:
         if key == "kshot":
-            batch = [
+            map_description = resolve_map_description(cfg)
+            batches[key] = [
                 (pi, kshot_samples(map_description, bundle, provider, cfg.k, pi))
                 for _, pi in programs
             ]
-            rows = []
-            scored = score_samples(batch, oset, cfg.per_unit)
-            for (ident, _), trials in zip(programs, scored):
-                best = kshot_baseline(trials)
-                report = BehaviorReport(best.action, best.outcome, best.feature)
-                rows.append((ident, f"trial-{best.trial}", report))
-        else:
-            picks = _select_baseline(key, programs, pool_other, oset, cfg.seed)
-            pairs = [
-                (program, other) for (_, program), (_, other) in zip(programs, picks)
+        elif key != "closest-feature":
+            picks[key] = _select_baseline(key, programs, pool_other, oset, cfg.seed)
+            batches[key] = [
+                (pi, [other]) for (_, pi), (_, other) in zip(programs, picks[key])
             ]
-            reports = compare(pairs, oset, cfg.per_unit)
-            rows = [
-                (ident, selected, report)
-                for (ident, _), (selected, _), report in zip(programs, picks, reports)
-            ]
-        details = [
-            {"program_id": ident, "selected": selected, **report.as_dict()}
-            for ident, selected, report in rows
+
+    scored = iter(
+        score_samples(
+            [entry for batch in batches.values() for entry in batch],
+            oset,
+            cfg.per_unit,
+        )
+    )
+    trials = {label: [next(scored) for _ in batch] for label, batch in batches.items()}
+    if "closest-feature" in baselines:
+        picks["closest-feature"] = _select_baseline(
+            "closest-feature", programs, pool_other, oset, cfg.seed
+        )
+        pairs = [
+            (pi, other)
+            for (_, pi), (_, other) in zip(programs, picks["closest-feature"])
         ]
+        feature_reports = compare(pairs, oset, cfg.per_unit)
+
+    values: dict[str, dict[str, list[float]]] = {}
+    errors: list[dict] = []
+    for label, row in runs.items():
+        finish_runs(row, trials[label], provider, cfg.literal_min)
         values[label] = {
-            metric: [getattr(report, metric) for _, _, report in rows]
+            metric: [run.aggregated[metric] for run in row]
             for metric in METRIC_COLUMNS
         }
-        baseline_details[label] = details
-        order.append(label)
+        errors += [
+            {"condition": label, "program_id": run.program_id, "error": run.error}
+            for run in row
+            if run.error is not None
+        ]
 
-    table = SummaryTable.from_values(values, order)
+    baseline_details: dict[str, list[dict]] = {}
+    for key in baselines:
+        if key == "kshot":
+            best = [kshot_baseline(row) for row in trials[key]]
+            selected = [f"trial-{trial.trial}" for trial in best]
+        else:
+            selected = [ident for ident, _ in picks[key]]
+            if key == "closest-feature":
+                best = feature_reports
+            else:
+                best = [row[0] for row in trials[key]]
+        label = BASELINE_LABELS[key]
+        values[label] = {
+            metric: [getattr(report, metric) for report in best]
+            for metric in METRIC_COLUMNS
+        }
+        baseline_details[label] = [
+            {
+                "program_id": ident,
+                "selected": pick,
+                **{metric: getattr(report, metric) for metric in METRIC_COLUMNS},
+            }
+            for (ident, _), pick, report in zip(programs, selected, best)
+        ]
+
+    table = SummaryTable.from_values(values, list(values))
     result = ExperimentResult(cfg, table, runs, baseline_details, errors)
     if cfg.out:
         result.write(cfg.out)

@@ -19,7 +19,8 @@ import os
 import signal
 import threading
 import traceback
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import BinaryIO
 
@@ -264,14 +265,30 @@ def _opponent(
     """Play the batch against opponent ``index``; each pair's parts there.
 
     The matches and replays share one read-only state per distinct snapshot
-    they restore, kept only while this opponent's work lasts."""
-    views: dict[tuple, GameState] = {}
-    new, records = oset.play(index, programs, views)
-    parts = [
-        _parts(records[a], records[b], other, per_unit, views)
-        for a, b, other in jobs
-    ]
+    they restore, kept only while this opponent's work lasts.  That keeps
+    many objects alive, which collections would scan again and again, so
+    the cyclic collector is paused meanwhile."""
+    with _paused_collector():
+        views: dict[tuple, GameState] = {}
+        new, records = oset.play(index, programs, views)
+        parts = [
+            _parts(records[a], records[b], other, per_unit, views)
+            for a, b, other in jobs
+        ]
     return new, records, parts
+
+
+@contextmanager
+def _paused_collector() -> Iterator[None]:
+    """Disable the cyclic garbage collector for the block; on leaving it,
+    also by an exception, enable it again if it was enabled before."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _run_shards(
@@ -358,15 +375,11 @@ def _receive(source: BinaryIO, oset: OpponentSet, index: int, pid: int) -> tuple
 
     # a message is many new objects and no cycles: collections during the
     # load would only scan them again and again
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        failure, message = pickle.load(source)
+        with _paused_collector():
+            failure, message = pickle.load(source)
     except (EOFError, pickle.UnpicklingError) as exc:
         raise ShardError(f"shard process {pid} sent no result: {exc!r}") from exc
-    finally:
-        if collecting:
-            gc.enable()
     if failure is not None:
         raise ShardError(f"shard process {pid} failed", failure)
     packed, parts = message

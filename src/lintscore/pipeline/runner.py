@@ -338,6 +338,63 @@ def _draw(
     ), samples
 
 
+def draw_runs(
+    programs: list[tuple[str, Program]],
+    oset: OpponentSet,
+    bundle: PromptBundle,
+    provider: Provider,
+    *,
+    k: int,
+    max_retries: int,
+    literal_min: bool,
+    workers: int,
+) -> tuple[list[LintRun], list[tuple[Program, list[Program | str]]]]:
+    """The first half of :func:`lint_score`: every program's provider calls
+    (explain, verify, reconstruct), each program's in sequence.  Returns
+    each program's run, with no trials scored yet, and the batch of (π,
+    reconstruction samples) for :func:`score_samples`, in input order.
+
+    With an http provider, up to ``workers`` programs' calls are in flight
+    at once on threads; other providers answer from memory or disk, and a
+    scripted one in call order, so their calls run one program at a time.
+    """
+
+    def draw(item: tuple[str, Program]) -> tuple[LintRun, list[Program | str]]:
+        ident, program = item
+        return _draw(
+            program, ident, oset, bundle, provider, k, max_retries, literal_min
+        )
+
+    if workers > 1 and provider.kind == "http":
+        # shut down before a batch forks
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            drawn = list(pool.map(draw, programs))
+    else:
+        drawn = [draw(item) for item in programs]
+    batch = [
+        (program, samples) for (_, program), (_, samples) in zip(programs, drawn)
+    ]
+    return [run for run, _ in drawn], batch
+
+
+def finish_runs(
+    runs: list[LintRun],
+    trials: list[list[Trial]],
+    provider: Provider,
+    literal_min: bool,
+) -> None:
+    """The second half of :func:`lint_score`: give each drawn run its
+    trials (see :func:`score_samples`) and their aggregate, and stamp an
+    http run ``finished_at``."""
+
+    for run, scored in zip(runs, trials):
+        # a run without an explanation has no trials, which aggregate WORST
+        run.trials = scored
+        run.aggregated = aggregate_trials(scored, literal_min=literal_min)
+        if provider.kind == "http":
+            run.provenance["finished_at"] = _now()
+
+
 def lint_score(
     programs: list[tuple[str, Program]],
     oset: OpponentSet,
@@ -352,15 +409,11 @@ def lint_score(
 ) -> tuple[dict[str, float], list[LintRun]]:
     """LINT score of a program set: mean aggregated value per metric.
 
-    Three phases: every program's provider calls (explain, verify,
-    reconstruct), each program's trials in sequence; one
-    :func:`score_samples` batch over every (π, trial) pair, whose
-    simulation uses every CPU this process may run on (``taskset -c 0``
-    pins it to one shard); then aggregates, in input order.  With an http
-    provider, up to ``workers`` programs' calls are in flight at once on
-    threads; other providers answer from memory or disk, and a scripted
-    one in call order, so their calls run one program at a time.  Results
-    are identical at any ``workers`` and any CPU count.
+    Three phases: :func:`draw_runs` makes every provider call; one
+    :func:`score_samples` batch measures every (π, trial) pair, its
+    simulation using every CPU this process may run on (``taskset -c 0``
+    pins it to one shard); :func:`finish_runs` aggregates, in input order.
+    Results are identical at any ``workers`` and any CPU count.
     """
 
     if not programs:
@@ -368,30 +421,17 @@ def lint_score(
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    def draw(item: tuple[str, Program]) -> tuple[LintRun, list[Program | str]]:
-        ident, program = item
-        return _draw(
-            program, ident, oset, bundle, provider, k, max_retries, literal_min
-        )
-
-    if workers > 1 and provider.kind == "http":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            drawn = list(pool.map(draw, programs))
-    else:
-        drawn = [draw(item) for item in programs]
-
-    batch = [
-        (program, samples) for (_, program), (_, samples) in zip(programs, drawn)
-    ]
-    runs = []
-    for (run, _), trials in zip(drawn, score_samples(batch, oset, per_unit)):
-        # a run without an explanation has no trials, which aggregate WORST
-        run.trials = trials
-        run.aggregated = aggregate_trials(trials, literal_min=literal_min)
-        if provider.kind == "http":
-            run.provenance["finished_at"] = _now()
-        runs.append(run)
-
+    runs, batch = draw_runs(
+        programs,
+        oset,
+        bundle,
+        provider,
+        k=k,
+        max_retries=max_retries,
+        literal_min=literal_min,
+        workers=workers,
+    )
+    finish_runs(runs, score_samples(batch, oset, per_unit), provider, literal_min)
     score = {
         metric: sum(run.aggregated[metric] for run in runs) / len(runs)
         for metric in METRICS

@@ -260,6 +260,40 @@ def test_receiving_keeps_the_collector_state(monkeypatch, pool8, collecting):
         (gc.enable if enabled else gc.disable)()
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_opponent_work_keeps_the_collector_state(monkeypatch, pool8, collecting):
+    """``_opponent`` pauses the cyclic collector while it works and leaves
+    it as it found it, also when the work raises."""
+    paused = []
+    parts = behavior._parts
+
+    def recording(*args):
+        paused.append(not gc.isenabled())
+        return parts(*args)
+
+    def failing(*args):
+        raise_error()
+
+    pi, other = some_pairs(pool8)[0]
+    # (text, program) pairs as ``_measure`` passes them; a fresh set has
+    # no match cached under either text
+    programs = [("pi", pi), ("other", other)]
+    jobs = [(0, 1, other)]
+    enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        monkeypatch.setattr(behavior, "_parts", recording)
+        behavior._opponent(fresh_set(), 0, programs, jobs, False)
+        assert paused == [True]
+        assert gc.isenabled() == collecting
+        monkeypatch.setattr(behavior, "_parts", failing)
+        with pytest.raises(RuntimeError, match="shard failure under test"):
+            behavior._opponent(fresh_set(), 0, programs, jobs, False)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
 def test_measured_pairs_start_no_process(monkeypatch, pool8):
     pretend_cpus(monkeypatch, 2)
     oset = fresh_set()
