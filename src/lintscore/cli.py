@@ -52,7 +52,7 @@ def _read_source(path: str) -> str:
         return sys.stdin.read()
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}") from exc
 
 

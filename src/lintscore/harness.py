@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .metrics.baselines import closest_feature, closest_syntax, rand_index
 from .metrics.behavior import compare, mean_feature_vector
-from .metrics.opponents import OpponentSet, standard_opponents
+from .metrics.opponents import OpponentSet
 from .microlang import ParseError, Program, parse, print_program, syntax_set
 from .obfuscate import obfuscate
 from .pipeline import (
@@ -33,7 +33,7 @@ from .pipeline import (
     make_provider,
     score_samples,
 )
-from .resources import ConfigError, data_path, policy_sources
+from .resources import ConfigError, data_path
 
 METRIC_COLUMNS = ("action", "outcome", "feature")
 METRIC_DIRECTION = {"action": "up", "outcome": "up", "feature": "down"}
@@ -46,11 +46,12 @@ BASELINE_LABELS = {
     "kshot": "k-Shot",
 }
 _BUILTIN_POOLS = {"pool16", "pool8"}
-_STANDARD_OPPONENTS = {"standard-16": 16, "standard-8": 8}
-_DEFAULT_MAP_DESCRIPTION = {
-    "standard-16": "BaseWorkers-16x16A",
-    "standard-8": "BaseWorkers-8x8",
+# the bundled opponent sets: name -> descriptor file under data/
+_STANDARD_OPPONENTS = {
+    "standard-16": "opponents16.json",
+    "standard-8": "opponents8.json",
 }
+_standard_cache: dict[str, OpponentSet] = {}
 
 
 @dataclass
@@ -131,9 +132,11 @@ def _fits(value, hint) -> bool:
 
 
 def load_program_set(spec: str) -> list[tuple[str, Program]]:
-    """Load a named bundled pool or a directory of ``.mrl`` files.
+    """Load a named bundled pool or a directory of ``.mrl`` files, read as
+    UTF-8, in name order.
 
-    A parse error names the file it comes from.
+    A file that cannot be read raises :class:`ConfigError`, and a parse
+    error, each naming the file.
     """
 
     if spec in _BUILTIN_POOLS:
@@ -142,48 +145,60 @@ def load_program_set(spec: str) -> list[tuple[str, Program]]:
         directory = Path(spec)
         if not directory.is_dir():
             raise ConfigError(f"program set {spec!r} is not a directory")
-    sources = policy_sources(directory)
-    if not sources:
+    paths = sorted(directory.glob("*.mrl"), key=lambda path: path.stem)
+    if not paths:
         raise ConfigError(f"no .mrl programs found in {directory}")
     programs = []
-    for name, text in sorted(sources.items()):
+    for path in paths:
         try:
-            programs.append((name, parse(text)))
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        try:
+            programs.append((path.stem, parse(text)))
         except ParseError as exc:
-            raise type(exc)(
-                f"{directory / name}.mrl: {exc.message}", exc.line, exc.col
-            ) from exc
+            raise type(exc)(f"{path}: {exc.message}", exc.line, exc.col) from exc
     return programs
 
 
 def load_opponent_set(spec: str) -> OpponentSet:
-    """Resolve ``standard-16``/``standard-8`` or a descriptor JSON path."""
+    """Resolve ``standard-16``/``standard-8`` or a descriptor JSON path.
+
+    A bundled set is loaded once per process and shared, so its match cache
+    accumulates across runs; a descriptor is loaded afresh on every call.
+    """
 
     if spec in _STANDARD_OPPONENTS:
-        return standard_opponents(_STANDARD_OPPONENTS[spec])
+        if spec not in _standard_cache:
+            _standard_cache[spec] = OpponentSet.from_file(
+                data_path(_STANDARD_OPPONENTS[spec])
+            )
+        return _standard_cache[spec]
     path = Path(spec)
     if not path.is_file():
         raise ConfigError(f"opponent set {spec!r} not found")
     return OpponentSet.from_file(path)
 
 
-def resolve_map_description(cfg: ExperimentConfig) -> str:
-    """The k-shot map description: configured name, literal text, or the
-    default description bundled with the standard opponent set."""
+def resolve_map_description(value: str | None, oset: OpponentSet) -> str:
+    """The k-shot map description of a configured ``map_description``:
+    the text bundled under that map name, or else the value itself as
+    literal text.  Without a value, the description bundled under the name
+    of ``oset``'s map; a set whose map has no name, or none bundled, needs
+    the value (:class:`ConfigError`)."""
 
-    value = cfg.map_description
+    bundled = [
+        path.stem.removeprefix("map_")
+        for path in data_path("prompts").glob("map_*.txt")
+    ]
     if value is None:
-        default = _DEFAULT_MAP_DESCRIPTION.get(cfg.opponents)
-        if default is None:
+        value = oset.map_data.get("name")
+        if value not in bundled:
             raise ConfigError(
-                "map_description is required when opponents are not a "
-                "standard set"
+                f"map_description is required: opponent set {oset.name!r} "
+                f"plays on map {value!r}, which has no bundled description"
             )
-        value = default
-    bundled = data_path("prompts") / f"map_{value}.txt"
-    if bundled.exists():
-        return load_map_description(value)
-    return value
+    return load_map_description(value) if value in bundled else value
 
 
 @dataclass(frozen=True)
@@ -367,22 +382,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute every configured condition and assemble the summary table.
 
     Conditions, in row order: LINT on the originals, LINT at each obfuscation
-    level, then the baselines.  The run has the three phases of
-    :func:`~.pipeline.lint_score`.  First every provider call, in row order
-    (each LINT row's draws, then the k-shot samples), and the Rand,
-    Rand-Other and Closest-Syntax picks.  Then one :func:`score_samples`
-    batch measures the pairs of every row, each pick as its program's one
-    sample; Closest-Feature picks by the matches that batch played and
-    measures its own pairs in a second, small batch.  Last, the rows are
-    built in row order and program order.  Per-program errors are
-    collected; only a run where every program failed is treated as a total
-    failure by the CLI.
+    level, then the baselines.  Setup comes first and loads every input the
+    config names: the programs, the opponent set, the prompt bundle and the
+    provider, then ``pool_other`` when ``rand-other`` is on and the map
+    description (:func:`resolve_map_description`) when ``kshot`` is on, so a
+    bad config raises :class:`ConfigError` before any provider call.  Then
+    the run has the three phases of :func:`~.pipeline.lint_score`.  First
+    every provider call, in row order (each LINT row's draws, then the
+    k-shot samples), and the Rand, Rand-Other and Closest-Syntax picks.
+    Then one :func:`score_samples` batch measures the pairs of every row,
+    each pick as its program's one sample; Closest-Feature picks by the
+    matches that batch played and measures its own pairs in a second, small
+    batch.  Last, the rows are built in row order and program order.
+    Per-program errors are collected; only a run where every program failed
+    is treated as a total failure by the CLI.
     """
 
+    # every input the config names, before the first provider call
     programs = load_program_set(cfg.programs)
     oset = load_opponent_set(cfg.opponents)
     bundle = load_bundle(cfg.track)
     provider = make_provider(cfg.provider)
+    baselines = [key for key in BASELINE_KEYS if key in cfg.baselines]
+    pool_other = None
+    if "rand-other" in baselines:
+        pool_other = load_program_set(cfg.pool_other)
+    if "kshot" in baselines:
+        map_description = resolve_map_description(cfg.map_description, oset)
 
     subjects = {"LINT": programs}
     for level in cfg.obfuscation_levels:
@@ -404,14 +430,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             workers=cfg.workers,
         )
 
-    baselines = [key for key in BASELINE_KEYS if key in cfg.baselines]
-    pool_other = None
-    if "rand-other" in baselines:
-        pool_other = load_program_set(cfg.pool_other)
     picks: dict[str, list[tuple[str, Program]]] = {}
     for key in baselines:
         if key == "kshot":
-            map_description = resolve_map_description(cfg)
             batches[key] = [
                 (pi, kshot_samples(map_description, bundle, provider, cfg.k, pi))
                 for _, pi in programs
@@ -443,7 +464,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     values: dict[str, dict[str, list[float]]] = {}
     errors: list[dict] = []
     for label, row in runs.items():
-        finish_runs(row, trials[label], provider, cfg.literal_min)
+        finish_runs(row, trials[label], cfg.literal_min)
         values[label] = {
             metric: [run.aggregated[metric] for run in row]
             for metric in METRIC_COLUMNS

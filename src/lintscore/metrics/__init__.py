@@ -24,11 +24,7 @@ from .io_compare import (
     load_suite,
     normalize_output,
 )
-from .opponents import (
-    Opponent,
-    OpponentSet,
-    standard_opponents,
-)
+from .opponents import Opponent, OpponentSet
 
 __all__ = [
     "BehaviorReport",
@@ -52,5 +48,4 @@ __all__ = [
     "outcome_metric",
     "rand_index",
     "select_policy_indices",
-    "standard_opponents",
 ]

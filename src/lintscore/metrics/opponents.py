@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..microlang import ParseError, Program, parse, print_program
-from ..resources import ConfigError, data_path
+from ..resources import ConfigError
 from ..sim import GameState, MatchRecord, play_match, state_from_map_dict
 
 if TYPE_CHECKING:
@@ -204,6 +204,8 @@ class OpponentSet:
                 return (path.parent / name).read_text(encoding="utf-8")
             except OSError as exc:
                 raise fail(f"cannot read {name}: {exc.strerror or exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise fail(f"cannot read {name}: not UTF-8 ({exc})") from exc
 
         def read_json(name: str):
             text = read(name)
@@ -251,17 +253,3 @@ class OpponentSet:
             seed=data.get("seed", 0),
             max_ticks=data.get("max_ticks", 400),
         )
-
-
-_STANDARD_FILES = {16: "opponents16.json", 8: "opponents8.json"}
-_standard_cache: dict[int, OpponentSet] = {}
-
-
-def standard_opponents(size: int = 16) -> OpponentSet:
-    """The bundled opponent set for the given map size (16 or 8), shared
-    process-wide so its match cache accumulates."""
-    if size not in _standard_cache:
-        _standard_cache[size] = OpponentSet.from_file(
-            data_path(_STANDARD_FILES[size])
-        )
-    return _standard_cache[size]

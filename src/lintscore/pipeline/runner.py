@@ -294,10 +294,13 @@ def _draw(
     literal_min: bool,
 ) -> tuple[LintRun, list[Program | str]]:
     """Every provider call for one program: its run, with no trials scored
-    yet, and its reconstruction samples (none without an explanation)."""
+    yet, and its reconstruction samples (none without an explanation).  An
+    http run is stamped ``started_at`` before the first call and
+    ``finished_at`` after the last; other runs keep None in both."""
 
     tracker = _Tracker(provider)
-    started = _now() if provider.kind == "http" else None
+    http = provider.kind == "http"
+    started = _now() if http else None
     explanation: str | None = None
     verdicts: list[Verdict] = []
     samples: list[Program | str] = []
@@ -323,7 +326,7 @@ def _draw(
         "literal_min": literal_min,
         "opponents": oset.name,
         "started_at": started,
-        "finished_at": None,
+        "finished_at": _now() if http else None,
         "cache_keys": tracker.keys,
     }
     return LintRun(
@@ -353,6 +356,8 @@ def draw_runs(
     (explain, verify, reconstruct), each program's in sequence.  Returns
     each program's run, with no trials scored yet, and the batch of (π,
     reconstruction samples) for :func:`score_samples`, in input order.
+    An http run carries the start and end of its own provider calls as
+    ``started_at`` and ``finished_at``.
 
     With an http provider, up to ``workers`` programs' calls are in flight
     at once on threads; other providers answer from memory or disk, and a
@@ -378,21 +383,15 @@ def draw_runs(
 
 
 def finish_runs(
-    runs: list[LintRun],
-    trials: list[list[Trial]],
-    provider: Provider,
-    literal_min: bool,
+    runs: list[LintRun], trials: list[list[Trial]], literal_min: bool
 ) -> None:
     """The second half of :func:`lint_score`: give each drawn run its
-    trials (see :func:`score_samples`) and their aggregate, and stamp an
-    http run ``finished_at``."""
+    trials (see :func:`score_samples`) and their aggregate."""
 
     for run, scored in zip(runs, trials):
         # a run without an explanation has no trials, which aggregate WORST
         run.trials = scored
         run.aggregated = aggregate_trials(scored, literal_min=literal_min)
-        if provider.kind == "http":
-            run.provenance["finished_at"] = _now()
 
 
 def lint_score(
@@ -409,11 +408,12 @@ def lint_score(
 ) -> tuple[dict[str, float], list[LintRun]]:
     """LINT score of a program set: mean aggregated value per metric.
 
-    Three phases: :func:`draw_runs` makes every provider call; one
-    :func:`score_samples` batch measures every (π, trial) pair, its
-    simulation using every CPU this process may run on (``taskset -c 0``
-    pins it to one shard); :func:`finish_runs` aggregates, in input order.
-    Results are identical at any ``workers`` and any CPU count.
+    Three phases: :func:`draw_runs` makes every provider call (and stamps
+    an http run's provenance); one :func:`score_samples` batch measures
+    every (π, trial) pair, its simulation using every CPU this process may
+    run on (``taskset -c 0`` pins it to one shard); :func:`finish_runs`
+    aggregates, in input order, and touches no provider.  Results are
+    identical at any ``workers`` and any CPU count.
     """
 
     if not programs:
@@ -431,7 +431,7 @@ def lint_score(
         literal_min=literal_min,
         workers=workers,
     )
-    finish_runs(runs, score_samples(batch, oset, per_unit), provider, literal_min)
+    finish_runs(runs, score_samples(batch, oset, per_unit), literal_min)
     score = {
         metric: sum(run.aggregated[metric] for run in runs) / len(runs)
         for metric in METRICS

@@ -7,10 +7,11 @@ gauntlet reuses earlier simulations instead of re-running them.
 
 import pytest
 
-from lintscore.metrics import OpponentSet, standard_opponents
+from lintscore.harness import load_opponent_set, load_program_set
+from lintscore.metrics import OpponentSet
 from lintscore.microlang import Program, parse
 from lintscore.pipeline import load_bundle
-from lintscore.resources import data_path, policy_sources
+from lintscore.resources import data_path
 
 
 @pytest.fixture(scope="session")
@@ -20,26 +21,22 @@ def bundle():
 
 @pytest.fixture(scope="session")
 def oset16():
-    return standard_opponents(16)
+    return load_opponent_set("standard-16")
 
 
 @pytest.fixture(scope="session")
 def oset8():
-    return standard_opponents(8)
-
-
-def _load_pool(name):
-    return [(ident, parse(text)) for ident, text in sorted(policy_sources(name).items())]
+    return load_opponent_set("standard-8")
 
 
 @pytest.fixture(scope="session")
 def pool16():
-    return _load_pool("pool16")
+    return load_program_set("pool16")
 
 
 @pytest.fixture(scope="session")
 def pool8():
-    return _load_pool("pool8")
+    return load_program_set("pool8")
 
 
 @pytest.fixture(scope="session")

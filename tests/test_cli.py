@@ -95,6 +95,13 @@ class TestParseCmd:
         result = runner.invoke(main, ["parse", str(tmp_path / "ghost.mrl")])
         assert result.exit_code == 2
 
+    def test_non_utf8_file_exits_two(self, runner, tmp_path):
+        latin = tmp_path / "latin.mrl"
+        latin.write_bytes(b"for(Unit u){ u.idle() } \xff")
+        result = runner.invoke(main, ["parse", str(latin)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot read {latin}" in result.output
+
 
 class TestSimulateCmd:
     @pytest.fixture()
@@ -217,6 +224,7 @@ def write_descriptor(directory, **changes):
     (directory / "policies").mkdir()
     (directory / "policies" / "a.mrl").write_text(SIMPLE)
     (directory / "policies" / "bad.mrl").write_text("for(Unit u){ u.fly() }")
+    (directory / "policies" / "latin.mrl").write_bytes(b"for(Unit u){ u.idle() } \xff")
     data = {
         "name": "duel",
         "map": "maps/duel.json",
@@ -240,6 +248,10 @@ BAD_DESCRIPTORS = {
     "no-map-file": ({"map": "maps/b.json"}, "cannot read maps/b.json"),
     "empty-map": ({"map": "maps/empty.json"}, "maps/empty.json: not a map"),
     "unparseable-opponent": ({"programs": ["policies/bad.mrl"]}, "policies/bad.mrl"),
+    "non-utf8-opponent": (
+        {"programs": ["policies/latin.mrl"]},
+        "cannot read policies/latin.mrl: not UTF-8",
+    ),
     "unknown-key": ({"max_tick": 40}, "unknown keys ['max_tick']"),
     "decision-period": ({"decision_period": 1}, "unknown keys ['decision_period']"),
     "mistyped-seed": ({"seed": "3"}, "'seed' must be int"),
@@ -446,6 +458,20 @@ class TestScoreCmd:
     def test_global_provider_override(self, runner):
         result = runner.invoke(main, ["--provider", "mock"] + self.SCORE_ARGS)
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("defect", ["not-utf8", "directory"])
+    def test_unreadable_program_file_exits_two(self, runner, tmp_path, defect):
+        (tmp_path / "a.mrl").write_text(SIMPLE)
+        unreadable = tmp_path / "x.mrl"
+        if defect == "directory":
+            unreadable.mkdir()
+        else:
+            unreadable.write_bytes(b"for(Unit u){ u.idle() } \xff")
+        result = runner.invoke(
+            main, ["score", "--programs", str(tmp_path), "--opponents", "standard-8"]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"cannot read {unreadable}" in result.output
 
     def test_replay_requires_cache_dir(self, runner):
         result = runner.invoke(main, self.SCORE_ARGS + ["--provider", "replay"])

@@ -9,8 +9,7 @@ pool16 records against standard-8.
 """
 import pytest
 
-from lintscore.microlang import parse
-from lintscore.resources import policy_sources
+from lintscore.harness import load_program_set
 from lintscore.sim import DEFAULT_STATS, distances, restore_state
 from lintscore.sim.evaluator import (
     _MOVE_DELTAS,
@@ -90,8 +89,8 @@ def test_tables_equal_the_formulas(size):
 @pytest.fixture(scope="module")
 def recorded_states(oset8):
     snapshots = {}
-    for _, text in sorted(policy_sources("pool16").items()):
-        for record in oset8.matches(parse(text)):
+    for _, program in load_program_set("pool16"):
+        for record in oset8.matches(program):
             for entry in record.entries:
                 snapshots.setdefault(entry.snapshot, None)
     return [restore_state(snapshot) for snapshot in snapshots]

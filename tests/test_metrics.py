@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from lintscore.harness import load_opponent_set, load_program_set
 from lintscore.metrics import (
     BehaviorReport,
     OpponentSet,
@@ -20,12 +21,11 @@ from lintscore.metrics import (
     feature_metric,
     mean_feature_vector,
     outcome_metric,
-    standard_opponents,
 )
 from lintscore.metrics import behavior
 from lintscore.metrics.opponents import Opponent
 from lintscore.microlang import parse
-from lintscore.resources import data_path, policy_sources
+from lintscore.resources import data_path
 from lintscore.sim import resolve_joint, restore_state
 
 ATTACK_ALL = "for(Unit u){ u.attack(Closest) }"
@@ -319,7 +319,7 @@ def _three_metrics(pi, other, oset, per_unit):
 
 
 def _reparsed(name):
-    return [parse(text) for _, text in sorted(policy_sources(name).items())]
+    return [program for _, program in load_program_set(name)]
 
 
 class TestCompareMemo:
@@ -435,8 +435,8 @@ class TestOpponentSet:
         assert all(isinstance(o, Opponent) for o in oset.opponents)
 
     def test_standard_sets_are_process_cached(self, oset16, oset8):
-        assert standard_opponents(16) is oset16
-        assert standard_opponents(8) is oset8
+        assert load_opponent_set("standard-16") is oset16
+        assert load_opponent_set("standard-8") is oset8
         assert oset16 is not oset8
         assert oset8.name == "standard-8"
         assert oset8.seed == 23

@@ -9,12 +9,14 @@ import os
 import subprocess
 import sys
 import threading
+from datetime import datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
 import lintscore
+from lintscore.microlang import parse
 from lintscore.pipeline import (
     CachingProvider,
     EchoProvider,
@@ -27,6 +29,7 @@ from lintscore.pipeline import (
     ReplayCacheProvider,
     ScriptedProvider,
     cache_key,
+    lint_score,
     make_provider,
 )
 
@@ -375,6 +378,26 @@ class TestHttpProvider:
         provider = HttpProvider("http://127.0.0.1:1/", "m", timeout=2.0)
         with pytest.raises(ProviderError, match="failed"):
             provider.complete(PromptRequest("explainer", "p"))
+
+    def test_lint_score_stamps_each_run(self, http_server, bundle, oset8):
+        # the answer holds no explanation, so each program's calls end
+        # with its one explainer attempt
+        provider = HttpProvider(_url(http_server, "/ok"), "m")
+        programs = [
+            ("a", parse("for(Unit u){ u.idle() }")),
+            ("b", parse("for(Unit u){ u.attack(Closest) }")),
+        ]
+        _, runs = lint_score(programs, oset8, bundle, provider, k=1, max_retries=1)
+        stamps = [
+            (
+                datetime.fromisoformat(run.provenance["started_at"]),
+                datetime.fromisoformat(run.provenance["finished_at"]),
+            )
+            for run in runs
+        ]
+        assert all(started <= finished for started, finished in stamps)
+        # each run's finished_at marks the end of its own calls
+        assert stamps[0][1] <= stamps[1][0]
 
 
 def test_cli_import_leaves_requests_out():
