@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import shlex
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .harness import (
     SummaryTable,
     dump_json,
     load_opponent_set,
+    make_dir,
     run_experiment,
     write_summary,
 )
@@ -37,27 +37,30 @@ from .metrics.io_compare import (
 from .microlang import ParseError, parse, print_program, to_dict
 from .obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
 from .pipeline import ProviderError
-from .resources import data_path
+from .resources import DATA_ROOT, read_json, read_text
 from .sim import GameState, play_match, state_from_map_dict
 
-_BUNDLED_MAPS = ("BaseWorkers-8x8", "BaseWorkers-16x16A")
+
+class _Lint(click.Group):
+    """The one place that turns errors into exit codes: an input that cannot
+    be used exits 2; a program set that does not parse, or a reference
+    command that fails, exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, ProviderError) as exc:
+            raise click.UsageError(str(exc)) from exc
+        except (ParseError, ExecFailure) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 def _echo_json(data, err: bool = False) -> None:
     click.echo(json.dumps(data, indent=2, sort_keys=True), err=err)
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}") from exc
-
-
 def _parse_source(path: str):
-    text = _read_source(path)
+    text = sys.stdin.read() if path == "-" else read_text(path)
     try:
         return parse(text)
     except ParseError as exc:
@@ -65,49 +68,13 @@ def _parse_source(path: str):
 
 
 def _initial_state(spec: str, seed: int) -> GameState:
-    if spec in _BUNDLED_MAPS:
-        path = data_path("maps", f"{spec}.json")
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise click.UsageError(f"map {spec!r} is neither bundled nor a file")
+    """The start of a match on the bundled map so named, or on a map file."""
+    path = DATA_ROOT / "maps" / f"{spec}.json"
+    data = read_json(path if path.is_file() else spec, f"map {spec}")
     try:
-        return state_from_map_dict(
-            json.loads(path.read_text(encoding="utf-8")), seed=seed
-        )
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"map {spec}: {exc}") from exc
-
-
-def _opponents(spec: str):
-    try:
-        return load_opponent_set(spec)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-@contextmanager
-def _experiment_errors():
-    """Exit 2 on a bad configuration or provider, 1 on an unparseable
-    program set."""
-    try:
-        yield
-    except (ConfigError, ProviderError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    except ParseError as exc:
-        raise click.ClickException(f"program set: {exc}") from exc
-
-
-def _read_provider_config(path: str) -> dict:
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(
-            f"cannot read provider config {path}: {exc}"
-        ) from exc
-    if not isinstance(config, dict):
-        raise click.UsageError(f"provider config {path} is not a JSON object")
-    return config
+        return state_from_map_dict(data, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"map {spec}: {exc}") from exc
 
 
 def _provider_config(
@@ -124,7 +91,7 @@ def _provider_config(
         config = {"kind": "replay-cache", "directory": cache_dir}
         # the cache's manifest supplies what the provider config leaves out
         if provider_config:
-            settings = _read_provider_config(provider_config)
+            settings = read_json(provider_config, f"provider config {provider_config}")
             config.update(
                 model=settings.get("model"), temperature=settings.get("temperature")
             )
@@ -134,7 +101,7 @@ def _provider_config(
             raise click.UsageError(
                 "--provider http requires --provider-config with endpoint/model"
             )
-        config = _read_provider_config(provider_config)
+        config = read_json(provider_config, f"provider config {provider_config}")
         config["kind"] = "http"
     else:
         config = {"kind": "mock", "mock": mock, "q": q, "seed": mock_seed}
@@ -143,7 +110,7 @@ def _provider_config(
     return config
 
 
-@click.group()
+@click.group(cls=_Lint)
 @click.version_option(version=__version__, prog_name="lint")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Experiment config JSON used by subcommands that accept one.")
@@ -216,7 +183,7 @@ def metric_cmd(pi_path, other_path, opponents, per_unit):
     """Print the three behavior metrics between two policies."""
     pi = _parse_source(pi_path)
     other = _parse_source(other_path)
-    oset = _opponents(opponents)
+    oset = load_opponent_set(opponents)
     report = compare([(pi, other)], oset, per_unit)[0]
     _echo_json(report.as_dict())
 
@@ -237,16 +204,13 @@ def io_metric_cmd(reference, candidate, suite_dir, count, suite_seed,
     if suite_dir:
         try:
             inputs = load_suite(suite_dir)
-        except FileNotFoundError as exc:
+        except FileNotFoundError as exc:  # a directory without input files
             raise click.UsageError(str(exc)) from exc
     else:
         inputs = generate_suite(suite_seed, count, values_per_line)
-    try:
-        report = io_metric(
-            shlex.split(reference), shlex.split(candidate), inputs, timeout=timeout
-        )
-    except ExecFailure as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = io_metric(
+        shlex.split(reference), shlex.split(candidate), inputs, timeout=timeout
+    )
     _echo_json(asdict(report))
 
 
@@ -263,7 +227,7 @@ def obfuscate_cmd(source, level, verify, opponents):
     padded = obfuscate(program, level)
     click.echo(print_program(padded))
     if verify:
-        oset = _opponents(opponents)
+        oset = load_opponent_set(opponents)
         report = verify_neutral(program, padded, oset)
         payload = {
             "equal": report.equal,
@@ -319,20 +283,18 @@ def score_cmd(ctx, programs, opponents, provider_kind, provider_config, mock, q,
     provider = _provider_config(
         provider_kind, provider_config, mock, q, mock_seed, cache_dir
     )
-    with _experiment_errors():
-        result = run_experiment(
-            ExperimentConfig(
-                programs=programs, opponents=opponents, provider=provider,
-                k=k, max_retries=max_retries, literal_min=literal_min,
-                per_unit=per_unit, workers=workers, baselines=[],
-            )
-        )
+    cfg = ExperimentConfig(
+        programs=programs, opponents=opponents, provider=provider,
+        k=k, max_retries=max_retries, literal_min=literal_min,
+        per_unit=per_unit, workers=workers, baselines=[],
+    )
+    if out_dir:
+        out = make_dir(out_dir)
+    result = run_experiment(cfg)
     lint = result.table.rows[0]
     score = {metric: lint.cells[metric].mean for metric in METRIC_COLUMNS}
     runs = result.runs["LINT"]
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for run in runs:
             dump_json(out / f"{run.program_id}.json", run.to_json())
         dump_json(out / "score.json", score)
@@ -363,19 +325,18 @@ def baseline_cmd(ctx, programs, opponents, baseline_key, pool, seed, k,
     """Evaluate one reference-point baseline over a program set."""
     if ctx.obj.get("seed") is not None:
         seed = ctx.obj["seed"]
-    with _experiment_errors():
-        result = run_experiment(
-            ExperimentConfig(
-                programs=programs,
-                opponents=opponents,
-                pool_other=pool,
-                provider={"kind": "mock", "mock": mock},
-                k=k,
-                seed=seed,
-                baselines=[baseline_key],
-                map_description=map_description,
-            )
+    result = run_experiment(
+        ExperimentConfig(
+            programs=programs,
+            opponents=opponents,
+            pool_other=pool,
+            provider={"kind": "mock", "mock": mock},
+            k=k,
+            seed=seed,
+            baselines=[baseline_key],
+            map_description=map_description,
         )
+    )
     label = result.table.rows[-1].label
     _echo_json(
         {
@@ -403,38 +364,32 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
         raise click.UsageError("provide exactly one of --config or --summary")
 
     if summary_path is not None:
-        try:
-            data = json.loads(Path(summary_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise click.UsageError(f"cannot read {summary_path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise click.UsageError(f"summary {summary_path} is not a JSON object")
+        data = read_json(summary_path, f"summary {summary_path}")
         try:
             table = SummaryTable.from_json(data.get("table", data))
         except (AttributeError, LookupError, TypeError) as exc:
             raise click.UsageError(
                 f"summary {summary_path} is malformed: {type(exc).__name__} {exc}"
             ) from exc
-        click.echo(table.markdown(), nl=False)
         if out_dir:
             write_summary(out_dir, table, table.to_json())
+        click.echo(table.markdown(), nl=False)
         return
 
-    with _experiment_errors():
-        cfg = ExperimentConfig.from_file(config_path)
-        if ctx.obj.get("seed") is not None:
-            cfg.seed = ctx.obj["seed"]
-        override = ctx.obj.get("provider")
-        if override == "mock":
-            cfg.provider = {"kind": "mock", "mock": "echo"}
-        elif override:
-            raise click.UsageError(
-                "http/replay providers need endpoint or cache settings; "
-                "configure them in the config file instead of --provider"
-            )
-        if out_dir:
-            cfg.out = out_dir
-        result = run_experiment(cfg)
+    cfg = ExperimentConfig.from_file(config_path)
+    if ctx.obj.get("seed") is not None:
+        cfg.seed = ctx.obj["seed"]
+    override = ctx.obj.get("provider")
+    if override == "mock":
+        cfg.provider = {"kind": "mock", "mock": "echo"}
+    elif override:
+        raise click.UsageError(
+            "http/replay providers need endpoint or cache settings; "
+            "configure them in the config file instead of --provider"
+        )
+    if out_dir:
+        cfg.out = out_dir
+    result = run_experiment(cfg)
     click.echo(result.table.markdown(), nl=False)
     if result.errors:
         _echo_json({"errors": result.errors}, err=True)

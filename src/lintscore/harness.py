@@ -33,7 +33,7 @@ from .pipeline import (
     make_provider,
     score_samples,
 )
-from .resources import ConfigError, data_path
+from .resources import ConfigError, data_path, read_json, read_text
 
 METRIC_COLUMNS = ("action", "outcome", "feature")
 METRIC_DIRECTION = {"action": "up", "outcome": "up", "feature": "down"}
@@ -112,11 +112,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, f"config {path}"))
 
 
 def _fits(value, hint) -> bool:
@@ -150,10 +146,7 @@ def load_program_set(spec: str) -> list[tuple[str, Program]]:
         raise ConfigError(f"no .mrl programs found in {directory}")
     programs = []
     for path in paths:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        text = read_text(path)
         try:
             programs.append((path.stem, parse(text)))
         except ParseError as exc:
@@ -340,8 +333,7 @@ class ExperimentResult:
         paths["config"] = out / "config.json"
         dump_json(paths["config"], self.config.to_dict())
         for condition, runs in sorted(self.runs.items()):
-            run_dir = out / "runs" / condition
-            run_dir.mkdir(parents=True, exist_ok=True)
+            run_dir = make_dir(out / "runs" / condition)
             for run in runs:
                 dump_json(run_dir / f"{run.program_id}.json", run.to_json())
         if self.baseline_details:
@@ -353,8 +345,7 @@ def write_summary(
     out_dir: str | Path, table: SummaryTable, data: dict
 ) -> dict[str, Path]:
     """Write ``data`` as summary.json and ``table`` as summary.{md,csv}."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     paths = {
         "summary_json": out / "summary.json",
         "summary_md": out / "summary.md",
@@ -368,10 +359,24 @@ def write_summary(
 
 def dump_json(path: Path, data) -> None:
     """Write ``data`` as the project's one JSON file format: 2-space indent,
-    sorted keys, a final newline, UTF-8."""
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    sorted keys, a final newline, UTF-8; :class:`ConfigError` if it cannot."""
+    try:
+        path.write_text(
+            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def make_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made if missing; :class:`ConfigError` if it
+    cannot be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def _program_rng(seed: int, row: str, program_id: str) -> random.Random:
@@ -385,9 +390,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     level, then the baselines.  Setup comes first and loads every input the
     config names: the programs, the opponent set, the prompt bundle and the
     provider, then ``pool_other`` when ``rand-other`` is on and the map
-    description (:func:`resolve_map_description`) when ``kshot`` is on, so a
-    bad config raises :class:`ConfigError` before any provider call.  Then
-    the run has the three phases of :func:`~.pipeline.lint_score`.  First
+    description (:func:`resolve_map_description`) when ``kshot`` is on, and
+    makes the ``out`` directory, so a bad config raises :class:`ConfigError`
+    before any provider call.  Then the run has the three phases of
+    :func:`~.pipeline.lint_score`.  First
     every provider call, in row order (each LINT row's draws, then the
     k-shot samples), and the Rand, Rand-Other and Closest-Syntax picks.
     Then one :func:`score_samples` batch measures the pairs of every row,
@@ -409,6 +415,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pool_other = load_program_set(cfg.pool_other)
     if "kshot" in baselines:
         map_description = resolve_map_description(cfg.map_description, oset)
+    if cfg.out:
+        make_dir(cfg.out)
 
     subjects = {"LINT": programs}
     for level in cfg.obfuscation_levels:

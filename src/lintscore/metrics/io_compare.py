@@ -6,9 +6,11 @@ import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..resources import ConfigError, read_text
+
 
 class ExecFailure(Exception):
-    """The reference executable could not produce output for an input."""
+    """The reference executable could not be run, or failed, on an input."""
 
 
 @dataclass
@@ -28,18 +30,26 @@ def normalize_output(text: str) -> str:
     return "\n".join(lines)
 
 
-def _run(command: list[str], input_text: str, timeout: float) -> tuple[int | None, str]:
+def _run(command: list[str], input_text: str, timeout: float) -> tuple[str, str | None]:
+    """The command's stdout on ``input_text``, and why it failed or None.
+    Bytes that are not UTF-8 decode to lone surrogates, so distinct outputs
+    stay distinct whatever the locale."""
     try:
         proc = subprocess.run(
             command,
             input=input_text,
             capture_output=True,
-            text=True,
+            encoding="utf-8",
+            errors="surrogateescape",
             timeout=timeout,
         )
-        return proc.returncode, proc.stdout
     except subprocess.TimeoutExpired:
-        return None, ""
+        return "", "timeout"
+    except OSError as exc:
+        return "", f"cannot run: {exc}"
+    if proc.returncode != 0:
+        return proc.stdout, f"exit code {proc.returncode}"
+    return proc.stdout, None
 
 
 def io_metric(
@@ -49,24 +59,22 @@ def io_metric(
     timeout: float = 10.0,
 ) -> IoReport:
     """Fraction of inputs on which both commands print the same normalized
-    stdout. A candidate crash or timeout counts as a mismatch and is noted;
-    a reference failure aborts with :class:`ExecFailure`.
+    stdout. A candidate that cannot be run, crashes or times out counts as
+    a mismatch and is noted; a reference failure aborts with
+    :class:`ExecFailure`.
     """
     matched = 0
     mismatched: list[int] = []
     failures: list[dict] = []
     for index, input_text in enumerate(inputs):
-        ref_code, ref_out = _run(reference, input_text, timeout)
-        if ref_code != 0:
-            detail = "timeout" if ref_code is None else f"exit code {ref_code}"
-            raise ExecFailure(f"reference failed on input {index}: {detail}")
-        cand_code, cand_out = _run(candidate, input_text, timeout)
-        if cand_code != 0:
-            detail = "timeout" if cand_code is None else f"exit code {cand_code}"
-            failures.append({"input": index, "reason": detail})
+        ref_out, failure = _run(reference, input_text, timeout)
+        if failure:
+            raise ExecFailure(f"reference failed on input {index}: {failure}")
+        cand_out, failure = _run(candidate, input_text, timeout)
+        if failure:
+            failures.append({"input": index, "reason": failure})
             mismatched.append(index)
-            continue
-        if normalize_output(ref_out) == normalize_output(cand_out):
+        elif normalize_output(ref_out) == normalize_output(cand_out):
             matched += 1
         else:
             mismatched.append(index)
@@ -89,8 +97,12 @@ def generate_suite(seed: int, count: int = 20, values_per_line: int = 1) -> list
 
 
 def load_suite(directory: str | Path) -> list[str]:
-    """Input texts from a directory, one file per input, name-ordered."""
-    paths = sorted(p for p in Path(directory).iterdir() if p.is_file())
+    """Input texts from a directory, one UTF-8 file per input, name-ordered;
+    a directory without files raises FileNotFoundError."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigError(f"suite {directory} is not a directory")
+    paths = sorted(p for p in directory.iterdir() if p.is_file())
     if not paths:
         raise FileNotFoundError(f"no input files in {directory}")
-    return [p.read_text() for p in paths]
+    return [read_text(p) for p in paths]

@@ -1,7 +1,6 @@
 """Opponent sets: the fixed evaluation gauntlet for behavior comparison."""
 from __future__ import annotations
 
-import json
 import threading
 import weakref
 from dataclasses import dataclass, replace
@@ -9,7 +8,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..microlang import ParseError, Program, parse, print_program
-from ..resources import ConfigError
+from ..resources import ConfigError, read_json, read_text
 from ..sim import GameState, MatchRecord, play_match, state_from_map_dict
 
 if TYPE_CHECKING:
@@ -199,24 +198,7 @@ class OpponentSet:
         def fail(problem: str) -> ConfigError:
             return ConfigError(f"opponent set {path}: {problem}")
 
-        def read(name: str) -> str:
-            try:
-                return (path.parent / name).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise fail(f"cannot read {name}: {exc.strerror or exc}") from exc
-            except UnicodeDecodeError as exc:
-                raise fail(f"cannot read {name}: not UTF-8 ({exc})") from exc
-
-        def read_json(name: str):
-            text = read(name)
-            try:
-                return json.loads(text)
-            except ValueError as exc:
-                raise fail(f"{name} is not JSON: {exc}") from exc
-
-        data = read_json(path.name)
-        if not isinstance(data, dict):
-            raise fail("not a JSON object")
+        data = read_json(path, path.name, fail)
         unknown = sorted(set(data) - set(_DESCRIPTOR_KEYS))
         if unknown:
             raise fail(f"unknown keys {unknown}")
@@ -234,13 +216,13 @@ class OpponentSet:
             raise fail("'max_ticks' must be >= 1")
         opponents = []
         for entry in programs:
-            source = read(entry)
+            source = read_text(path.parent / entry, entry, fail)
             try:
                 program = parse(source)
             except ParseError as exc:
                 raise fail(f"{entry}: {exc}") from exc
             opponents.append(Opponent(Path(entry).stem, source, program))
-        map_data = read_json(data["map"])
+        map_data = read_json(path.parent / data["map"], data["map"], fail)
         try:
             # checked once here: every match builds its start from map_data
             state_from_map_dict(map_data)

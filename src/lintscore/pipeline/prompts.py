@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..resources import data_path
+from ..resources import data_path, read_text
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def load_bundle(track: str = "microrts") -> PromptBundle:
     root = data_path("prompts")
 
     def read(role: str) -> str:
-        return (root / f"microrts_{role}.txt").read_text(encoding="utf-8")
+        return read_text(root / f"microrts_{role}.txt")
 
     return PromptBundle(
         dsl_description=read("dsl"),
@@ -94,7 +94,7 @@ def load_bundle(track: str = "microrts") -> PromptBundle:
 def load_map_description(map_name: str) -> str:
     """Load the natural-language description of a bundled map."""
 
-    return data_path("prompts", f"map_{map_name}.txt").read_text(encoding="utf-8")
+    return read_text(data_path("prompts", f"map_{map_name}.txt"))
 
 
 def extract_tag(text: str, tag: str) -> str | None:

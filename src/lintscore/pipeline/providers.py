@@ -18,6 +18,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..resources import read_json, read_text
+
 
 class ProviderError(RuntimeError):
     """A provider failed to produce a completion."""
@@ -138,6 +140,8 @@ class CachingProvider(Provider):
     ) -> None:
         self.inner = inner
         self.directory = Path(directory)
+        if self.directory.exists() and not self.directory.is_dir():
+            raise ProviderError(f"cache directory {self.directory} is not a directory")
         manifest = _read_manifest(self.directory)
         recorded = manifest.get("temperature")
         if inner is not None:
@@ -161,7 +165,7 @@ class CachingProvider(Provider):
         key = cache_key(self.model, request.prompt, request.trial)
         path = self.directory / f"{key}.txt"
         if path.exists():
-            return path.read_text(encoding="utf-8")
+            return read_text(path, f"cached response {path}", ProviderError)
         if self.inner is None:
             raise ProviderError(
                 f"replay cache miss for role={request.role} trial={request.trial} "
@@ -190,11 +194,8 @@ def _read_manifest(directory: Path) -> dict:
     path = directory / MANIFEST
     if not path.exists():
         return {}
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ProviderError(f"unreadable cache manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("model"), str):
+    manifest = read_json(path, f"cache manifest {path}", ProviderError)
+    if not isinstance(manifest.get("model"), str):
         raise ProviderError(f"cache manifest {path} names no model")
     return manifest
 

@@ -17,6 +17,7 @@ from lintscore.microlang import parse, print_program, to_dict
 from lintscore.obfuscate import obfuscate
 from lintscore.pipeline import LineDropProvider, lint_score
 from lintscore.resources import data_path
+from test_harness import counted_requests
 
 SIMPLE = "for(Unit u){\n    u.attack(Closest)\n}"
 TIERED_PATH = str(data_path("policies", "examples", "tiered_rush.mrl"))
@@ -52,6 +53,19 @@ DUEL_MAP = {
         {"pos": [2, 2], "kind": "Worker", "owner": "P1"},
     ],
 }
+
+
+def make_defective(path, defect):
+    """Put an input file at ``path`` that cannot be used for ``defect``:
+    ``missing`` leaves nothing there."""
+    if defect == "directory":
+        path.mkdir()
+    elif defect == "not-utf8":
+        path.write_bytes(b'{"name": "\xff"}')
+    elif defect == "not-json":
+        path.write_text("{not json")
+    elif defect == "not-object":
+        path.write_text("[]")
 
 
 @pytest.fixture()
@@ -178,6 +192,24 @@ class TestSimulateCmd:
         )
         assert result.exit_code == 0
         assert _sha256(record_path) == RECORD_PIN
+
+    def test_record_into_missing_directory_exits_two(
+        self, runner, duel_files, tmp_path
+    ):
+        map_path, p0, p1 = duel_files
+        record_path = tmp_path / "missing" / "match.json"
+        result = runner.invoke(
+            main,
+            [
+                "simulate",
+                "--p0", p0,
+                "--p1", p1,
+                "--map", map_path,
+                "--record", str(record_path),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"cannot write {record_path}" in result.output
 
     def test_bundled_map_name(self, runner, duel_files):
         _, p0, p1 = duel_files
@@ -385,6 +417,56 @@ class TestIoMetricCmd:
         )
         assert result.exit_code == 2
 
+    def test_suite_that_is_a_file_exits_two(self, runner, tmp_path):
+        suite = tmp_path / "case0.txt"
+        suite.write_text("4\n")
+        result = runner.invoke(
+            main,
+            [
+                "io-metric",
+                "--reference", self.SUCC,
+                "--candidate", self.SUCC,
+                "--suite", str(suite),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"suite {suite} is not a directory" in result.output
+
+    def test_reference_that_cannot_run_exits_one(self, runner, tmp_path):
+        missing = tmp_path / "no-such-program"
+        result = runner.invoke(
+            main,
+            [
+                "io-metric",
+                "--reference", str(missing),
+                "--candidate", self.SUCC,
+                "--count", "1",
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert "reference failed on input 0: cannot run" in result.output
+        assert str(missing) in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
+    def test_candidate_that_cannot_run_is_a_mismatch(self, runner, tmp_path):
+        missing = tmp_path / "no-such-program"
+        result = runner.invoke(
+            main,
+            [
+                "io-metric",
+                "--reference", self.SUCC,
+                "--candidate", str(missing),
+                "--count", "2",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["value"] == 0.0
+        assert payload["mismatched"] == [0, 1]
+        for failure in payload["failures"]:
+            assert failure["reason"].startswith("cannot run: ")
+            assert str(missing) in failure["reason"]
+
 
 class TestObfuscateCmd:
     def test_prints_padded_program(self, runner, simple_file):
@@ -472,6 +554,61 @@ class TestScoreCmd:
         )
         assert result.exit_code == 2, result.output
         assert f"cannot read {unreadable}" in result.output
+
+    def test_out_that_is_a_file_exits_two(self, runner, tmp_path, monkeypatch):
+        requests = counted_requests(monkeypatch)
+        out = tmp_path / "out"
+        out.write_text("")
+        result = runner.invoke(main, self.SCORE_ARGS + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write to {out}" in result.output
+        assert requests == []
+
+    @pytest.mark.parametrize("provider", ["mock", "replay"])
+    def test_cache_dir_that_is_a_file_exits_two(
+        self, runner, tmp_path, monkeypatch, provider
+    ):
+        requests = counted_requests(monkeypatch)
+        cache = tmp_path / "cache"
+        cache.write_text("")
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS + ["--provider", provider, "--cache-dir", str(cache)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"cache directory {cache} is not a directory" in result.output
+        assert requests == []
+        assert cache.read_text() == ""
+
+    @pytest.mark.parametrize("defect", ["not-utf8", "directory"])
+    def test_unreadable_cached_response_is_the_run_error(
+        self, runner, tmp_path, defect
+    ):
+        (tmp_path / "pool").mkdir()
+        (tmp_path / "pool" / "a.mrl").write_text(SIMPLE)
+        args = [
+            "score", "--programs", str(tmp_path / "pool"),
+            "--opponents", "standard-8", "--k", "1",
+        ]
+        cache = tmp_path / "cache"
+        recorded = runner.invoke(main, args + ["--cache-dir", str(cache)])
+        assert recorded.exit_code == 0, recorded.output
+        responses = sorted(cache.glob("*.txt"))
+        for path in responses:
+            path.unlink()
+            make_defective(path, defect)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            args
+            + ["--provider", "replay", "--cache-dir", str(cache), "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert "every program failed" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        error = json.loads((out / "a.json").read_text())["error"]
+        assert error.startswith("provider error: cannot read cached response ")
+        assert any(str(path) in error for path in responses)
 
     def test_replay_requires_cache_dir(self, runner):
         result = runner.invoke(main, self.SCORE_ARGS + ["--provider", "replay"])
@@ -841,6 +978,27 @@ class TestReportCmd:
         assert f"summary {summary}" in result.output
         assert message in result.output
 
+    def test_summary_out_that_is_a_file_exits_two(
+        self, runner, config_file, tmp_path
+    ):
+        first = runner.invoke(
+            main, ["report", "--config", config_file, "--out", str(tmp_path / "a")]
+        )
+        assert first.exit_code == 0
+        out = tmp_path / "b"
+        out.write_text("")
+        result = runner.invoke(
+            main,
+            [
+                "report",
+                "--summary", str(tmp_path / "a" / "summary.json"),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"cannot write to {out}" in result.output
+        assert out.read_text() == ""
+
     def test_rerendered_files_match_table(self, runner, config_file, tmp_path):
         runner.invoke(
             main, ["report", "--config", config_file, "--out", str(tmp_path / "a")]
@@ -1083,3 +1241,68 @@ class TestGlobalOptions:
     def test_unknown_command_exits_two(self, runner):
         result = runner.invoke(main, ["transmogrify"])
         assert result.exit_code == 2
+
+
+JSON_DEFECTS = ("missing", "directory", "not-utf8", "not-json", "not-object")
+SCORE8 = ["score", "--programs", "pool8", "--opponents", "standard-8", "--k", "1"]
+COPY = f'{sys.executable} -c "print(input())"'
+POLICY = str(data_path("policies", "pool8", "q01.mrl"))
+
+# input kind -> (its file under tmp_path, the command line that reads it,
+# the defects that apply to it)
+INPUT_KINDS = {
+    "policy": (
+        "p.mrl", lambda f: ["parse", str(f)], ("missing", "directory", "not-utf8")
+    ),
+    "programs-file": (
+        "pool/x.mrl",
+        lambda f: ["score", "--programs", str(f.parent), "--opponents", "standard-8"],
+        ("directory", "not-utf8"),
+    ),
+    "map": (
+        "m.json",
+        lambda f: ["simulate", "--p0", POLICY, "--p1", POLICY, "--map", str(f)],
+        JSON_DEFECTS,
+    ),
+    "config": ("c.json", lambda f: ["report", "--config", str(f)], JSON_DEFECTS),
+    "provider-config": (
+        "p.json",
+        lambda f: SCORE8 + ["--provider", "http", "--provider-config", str(f)],
+        JSON_DEFECTS,
+    ),
+    "summary": ("s.json", lambda f: ["report", "--summary", str(f)], JSON_DEFECTS),
+    "cache-manifest": (
+        "cache/manifest.json",
+        lambda f: SCORE8 + ["--provider", "replay", "--cache-dir", str(f.parent)],
+        JSON_DEFECTS[1:],
+    ),
+    "suite-file": (
+        "suite/0.txt",
+        lambda f: ["io-metric", "--reference", COPY, "--candidate", COPY,
+                   "--suite", str(f.parent)],
+        ("not-utf8",),
+    ),
+}
+
+
+class TestInputFiles:
+    """Any input file that cannot be read, is not UTF-8 or is not the JSON
+    object expected exits 2 with a message naming it."""
+
+    @pytest.mark.parametrize(
+        "kind, defect",
+        [
+            (kind, defect)
+            for kind, (_, _, defects) in INPUT_KINDS.items()
+            for defect in defects
+        ],
+    )
+    def test_defective_input_exits_two(self, runner, tmp_path, kind, defect):
+        name, command, _ = INPUT_KINDS[kind]
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        make_defective(path, defect)
+        result = runner.invoke(main, command(path))
+        assert result.exit_code == 2, result.output
+        assert "cannot read " in result.output
+        assert str(path) in result.output

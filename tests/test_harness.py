@@ -245,6 +245,16 @@ class TestSetupBeforeProviderCalls:
             run_experiment(cfg)
         assert requests == []
 
+    def test_out_that_is_a_file(self, tmp_path, monkeypatch):
+        requests = counted_requests(monkeypatch)
+        out = tmp_path / "out"
+        out.write_text("")
+        cfg = small_config(obfuscation_levels=[1, 2], out=str(out))
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg)
+        assert f"cannot write to {out}" in str(info.value)
+        assert requests == []
+
     def test_descriptor_on_a_bundled_map_prompts_like_standard(
         self, tmp_path, monkeypatch
     ):

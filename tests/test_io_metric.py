@@ -15,6 +15,7 @@ from lintscore.metrics import (
     load_suite,
     normalize_output,
 )
+from lintscore.resources import ConfigError
 
 PY = sys.executable
 
@@ -93,6 +94,31 @@ class TestIoMetric:
         with pytest.raises(ExecFailure, match="timeout"):
             io_metric(SLEEPER, SUCCESSOR, ["1\n"], timeout=0.5)
 
+    def test_reference_that_cannot_run_raises(self, tmp_path):
+        missing = str(tmp_path / "no-such-program")
+        with pytest.raises(ExecFailure, match="input 0: cannot run") as info:
+            io_metric([missing], SUCCESSOR, ["1\n"])
+        assert missing in str(info.value)
+
+    def test_candidate_that_cannot_run_counts_as_mismatch(self, tmp_path):
+        missing = str(tmp_path / "no-such-program")
+        report = io_metric(SUCCESSOR, [missing], ["1\n", "2\n"])
+        assert report.value == 0.0
+        assert report.mismatched == [0, 1]
+        assert [failure["input"] for failure in report.failures] == [0, 1]
+        for failure in report.failures:
+            assert failure["reason"].startswith("cannot run: ")
+            assert missing in failure["reason"]
+
+    def test_output_that_is_not_utf8_keeps_bytes_distinct(self):
+        # decoded with errors="replace", both outputs would read "\ufffd"
+        first = [PY, "-c", "import sys; sys.stdout.buffer.write(b'\\xff\\n')"]
+        second = [PY, "-c", "import sys; sys.stdout.buffer.write(b'\\xfe\\n')"]
+        assert io_metric(first, first, ["1\n"]).value == 1.0
+        report = io_metric(first, second, ["1\n"])
+        assert report.value == 0.0
+        assert report.failures == []
+
     def test_seeded_mutant_hits_exact_fraction(self):
         # Flip the answer on three values that each occur exactly once in
         # the suite, giving a known 17-of-20 agreement.
@@ -146,3 +172,16 @@ class TestSuites:
     def test_load_suite_empty_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_suite(tmp_path)
+
+    def test_load_suite_rejects_a_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("1\n")
+        with pytest.raises(ConfigError, match="is not a directory"):
+            load_suite(path)
+
+    def test_load_suite_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"1\xff\n")
+        with pytest.raises(ConfigError) as info:
+            load_suite(tmp_path)
+        assert f"cannot read {path}: not UTF-8" in str(info.value)
