@@ -103,6 +103,10 @@ def _provider_config(
             )
         config = read_json(provider_config, f"provider config {provider_config}")
         config["kind"] = "http"
+    elif provider_config:
+        raise click.UsageError(
+            "--provider-config applies to --provider http and replay, not mock"
+        )
     else:
         config = {"kind": "mock", "mock": mock, "q": q, "seed": mock_seed}
     if cache_dir:
@@ -112,21 +116,8 @@ def _provider_config(
 
 @click.group(cls=_Lint)
 @click.version_option(version=__version__, prog_name="lint")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Experiment config JSON used by subcommands that accept one.")
-@click.option("--seed", type=int, default=None, help="Global random seed override.")
-@click.option("--out", "out_dir", type=click.Path(), default=None,
-              help="Global output directory override.")
-@click.option("--provider", "provider_kind", default=None,
-              type=click.Choice(["http", "mock", "replay"]),
-              help="Global provider kind override.")
-@click.pass_context
-def main(ctx, config_path, seed, out_dir, provider_kind):
+def main():
     """Score the interpretability of programmatic policies."""
-    ctx.ensure_object(dict)
-    ctx.obj.update(
-        config=config_path, seed=seed, out=out_dir, provider=provider_kind
-    )
 
 
 @main.command("parse")
@@ -150,11 +141,8 @@ def parse_cmd(source, ast_json):
 @click.option("--max-ticks", type=int, default=400, show_default=True)
 @click.option("--record", "record_path", type=click.Path(), default=None,
               help="Write the full match record JSON here.")
-@click.pass_context
-def simulate_cmd(ctx, p0_path, p1_path, map_spec, seed, max_ticks, record_path):
+def simulate_cmd(p0_path, p1_path, map_spec, seed, max_ticks, record_path):
     """Play one deterministic match and print its outcome."""
-    if ctx.obj.get("seed") is not None:
-        seed = ctx.obj["seed"]
     p0 = _parse_source(p0_path)
     p1 = _parse_source(p1_path)
     state = _initial_state(map_spec, seed)
@@ -188,9 +176,23 @@ def metric_cmd(pi_path, other_path, opponents, per_unit):
     _echo_json(report.as_dict())
 
 
+def _command_line(ctx, param, value: str) -> list[str]:
+    """The arguments of a command line, split as a POSIX shell splits them;
+    an empty line or an unbalanced quote exits 2, naming the option."""
+    try:
+        argv = shlex.split(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
+    if not argv:
+        raise click.BadParameter("the command line is empty")
+    return argv
+
+
 @main.command("io-metric")
-@click.option("--reference", required=True, help="Reference command line.")
-@click.option("--candidate", required=True, help="Candidate command line.")
+@click.option("--reference", required=True, callback=_command_line,
+              help="Reference command line.")
+@click.option("--candidate", required=True, callback=_command_line,
+              help="Candidate command line.")
 @click.option("--suite", "suite_dir", type=click.Path(), default=None,
               help="Directory of input files (one per case).")
 @click.option("--count", type=int, default=20, show_default=True,
@@ -208,9 +210,7 @@ def io_metric_cmd(reference, candidate, suite_dir, count, suite_seed,
             raise click.UsageError(str(exc)) from exc
     else:
         inputs = generate_suite(suite_seed, count, values_per_line)
-    report = io_metric(
-        shlex.split(reference), shlex.split(candidate), inputs, timeout=timeout
-    )
+    report = io_metric(reference, candidate, inputs, timeout=timeout)
     _echo_json(asdict(report))
 
 
@@ -243,9 +243,8 @@ def obfuscate_cmd(source, level, verify, opponents):
 @click.option("--programs", default="pool16", show_default=True,
               help="Bundled pool name or a directory of .mrl files.")
 @click.option("--opponents", default="standard-16", show_default=True)
-@click.option("--provider", "provider_kind",
-              type=click.Choice(["http", "mock", "replay"]), default=None,
-              help="Provider kind [default: mock, or the global --provider].")
+@click.option("--provider", "provider_kind", default="mock", show_default=True,
+              type=click.Choice(["http", "mock", "replay"]))
 @click.option("--provider-config", type=click.Path(), default=None,
               help="JSON with endpoint/model/temperature for --provider http; "
                    "--provider replay reads its model and temperature (default: "
@@ -271,15 +270,10 @@ def obfuscate_cmd(source, level, verify, opponents):
                    "pins it to one); results are identical either way.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Write per-program LintRun JSON files here.")
-@click.pass_context
-def score_cmd(ctx, programs, opponents, provider_kind, provider_config, mock, q,
+def score_cmd(programs, opponents, provider_kind, provider_config, mock, q,
               mock_seed, cache_dir, k, max_retries, literal_min, per_unit,
               workers, out_dir):
     """Compute the LINT score of a program set."""
-    if provider_kind is None:
-        provider_kind = ctx.obj.get("provider") or "mock"
-    if out_dir is None:
-        out_dir = ctx.obj.get("out")
     provider = _provider_config(
         provider_kind, provider_config, mock, q, mock_seed, cache_dir
     )
@@ -317,14 +311,11 @@ def score_cmd(ctx, programs, opponents, provider_kind, provider_config, mock, q,
 @click.option("--map-description", default=None,
               help="Bundled map name or literal text for kshot.")
 @click.option("--mock", default="echo", show_default=True,
-              type=click.Choice(["echo", "empty", "line-drop"]),
+              type=click.Choice(["echo", "empty"]),
               help="Mock provider for kshot sampling.")
-@click.pass_context
-def baseline_cmd(ctx, programs, opponents, baseline_key, pool, seed, k,
+def baseline_cmd(programs, opponents, baseline_key, pool, seed, k,
                  map_description, mock):
     """Evaluate one reference-point baseline over a program set."""
-    if ctx.obj.get("seed") is not None:
-        seed = ctx.obj["seed"]
     result = run_experiment(
         ExperimentConfig(
             programs=programs,
@@ -353,13 +344,8 @@ def baseline_cmd(ctx, programs, opponents, baseline_key, pool, seed, k,
 @click.option("--summary", "summary_path", type=click.Path(), default=None,
               help="Existing summary JSON to re-render instead of running.")
 @click.option("--out", "out_dir", type=click.Path(), default=None)
-@click.pass_context
-def report_cmd(ctx, config_path, summary_path, out_dir):
+def report_cmd(config_path, summary_path, out_dir):
     """Run an experiment (or re-render a summary) and emit MD/CSV/JSON."""
-    if config_path is None:
-        config_path = ctx.obj.get("config")
-    if out_dir is None:
-        out_dir = ctx.obj.get("out")
     if (config_path is None) == (summary_path is None):
         raise click.UsageError("provide exactly one of --config or --summary")
 
@@ -377,16 +363,6 @@ def report_cmd(ctx, config_path, summary_path, out_dir):
         return
 
     cfg = ExperimentConfig.from_file(config_path)
-    if ctx.obj.get("seed") is not None:
-        cfg.seed = ctx.obj["seed"]
-    override = ctx.obj.get("provider")
-    if override == "mock":
-        cfg.provider = {"kind": "mock", "mock": "echo"}
-    elif override:
-        raise click.UsageError(
-            "http/replay providers need endpoint or cache settings; "
-            "configure them in the config file instead of --provider"
-        )
     if out_dir:
         cfg.out = out_dir
     result = run_experiment(cfg)

@@ -167,10 +167,7 @@ def load_opponent_set(spec: str) -> OpponentSet:
                 data_path(_STANDARD_OPPONENTS[spec])
             )
         return _standard_cache[spec]
-    path = Path(spec)
-    if not path.is_file():
-        raise ConfigError(f"opponent set {spec!r} not found")
-    return OpponentSet.from_file(path)
+    return OpponentSet.from_file(spec)
 
 
 def resolve_map_description(value: str | None, oset: OpponentSet) -> str:

@@ -11,8 +11,6 @@ HEAVY = "Heavy"
 RANGED = "Ranged"
 RESOURCE = "Resource"
 
-PLAYER_KINDS = (BASE, BARRACKS, WORKER, LIGHT, HEAVY, RANGED)
-
 
 @dataclass(frozen=True)
 class UnitStats:

@@ -5,6 +5,7 @@ Exit-code contract: 0 success, 1 failed work (parse errors, lost runs),
 """
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -448,6 +449,23 @@ class TestIoMetricCmd:
         assert str(missing) in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
 
+    @pytest.mark.parametrize(
+        "option, command, message",
+        [
+            ("--reference", "", "the command line is empty"),
+            ("--reference", "cat 'x", "No closing quotation"),
+            ("--candidate", "", "the command line is empty"),
+        ],
+        ids=["empty-reference", "unbalanced-quote", "empty-candidate"],
+    )
+    def test_bad_command_line_exits_two(self, runner, option, command, message):
+        args = {"--reference": self.SUCC, "--candidate": self.SUCC, option: command}
+        result = runner.invoke(
+            main, ["io-metric", "--count", "1"] + [a for kv in args.items() for a in kv]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}': {message}" in result.output
+
     def test_candidate_that_cannot_run_is_a_mismatch(self, runner, tmp_path):
         missing = tmp_path / "no-such-program"
         result = runner.invoke(
@@ -537,9 +555,15 @@ class TestScoreCmd:
         assert result.exit_code == 0
         assert json.loads(result.output)["action"] == 1.0
 
-    def test_global_provider_override(self, runner):
-        result = runner.invoke(main, ["--provider", "mock"] + self.SCORE_ARGS)
-        assert result.exit_code == 0
+    def test_provider_config_with_mock_exits_two(self, runner, tmp_path, monkeypatch):
+        requests = counted_requests(monkeypatch)
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS + ["--provider-config", str(tmp_path / "missing.json")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "applies to --provider http and replay" in result.output
+        assert requests == []
 
     @pytest.mark.parametrize("defect", ["not-utf8", "directory"])
     def test_unreadable_program_file_exits_two(self, runner, tmp_path, defect):
@@ -913,6 +937,14 @@ class TestBaselineCmd:
         result = runner.invoke(main, ["baseline", "--baseline", "psychic"])
         assert result.exit_code == 2
 
+    def test_line_drop_mock_exits_two(self, runner):
+        # baseline has no --q, so a line-drop mock would drop nothing
+        result = runner.invoke(
+            main, ["baseline", "--baseline", "kshot", "--mock", "line-drop"]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--mock'" in result.output
+
 
 class TestReportCmd:
     @pytest.fixture()
@@ -938,15 +970,6 @@ class TestReportCmd:
         assert "| Condition | Action ↑ | Outcome ↑ | Feature ↓ |" in result.output
         assert "| LINT |" in result.output
         assert "| Rand |" in result.output
-
-    def test_config_via_global_option(self, runner, config_file, tmp_path):
-        out = tmp_path / "report-out"
-        result = runner.invoke(
-            main, ["--config", config_file, "--out", str(out), "report"]
-        )
-        assert result.exit_code == 0
-        assert (out / "summary.json").exists()
-        assert (out / "summary.md").read_text().startswith("| Condition |")
 
     def test_rerender_from_summary(self, runner, config_file, tmp_path):
         first = runner.invoke(
@@ -1046,16 +1069,6 @@ class TestReportCmd:
             main, ["report", "--config", config_file, "--summary", str(summary)]
         )
         assert both.exit_code == 2
-
-    def test_mock_is_only_provider_override(self, runner, config_file):
-        allowed = runner.invoke(
-            main, ["--provider", "mock", "report", "--config", config_file]
-        )
-        assert allowed.exit_code == 0
-        rejected = runner.invoke(
-            main, ["--provider", "replay", "report", "--config", config_file]
-        )
-        assert rejected.exit_code == 2
 
     def test_total_failure_exits_one(self, runner, tmp_path):
         path = tmp_path / "failing.json"
@@ -1242,6 +1255,37 @@ class TestGlobalOptions:
         result = runner.invoke(main, ["transmogrify"])
         assert result.exit_code == 2
 
+    def test_help_lists_only_version_and_help(self, runner):
+        result = runner.invoke(main, ["--help"])
+        options = result.output.split("Options:")[1].split("Commands:")[0]
+        assert re.findall(r"--[a-z-]+", options) == ["--version", "--help"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--seed", "1", "simulate", "--p0", "{policy}", "--p1", "{policy}"],
+            ["--out", "{out}", "score", "--programs", "pool8",
+             "--opponents", "standard-8", "--k", "1"],
+            ["--provider", "mock", "report", "--config", "{config}"],
+            ["--config", "{config}", "report"],
+        ],
+        ids=["seed", "out", "provider", "config"],
+    )
+    def test_experiment_settings_are_not_group_options(
+        self, runner, tmp_path, monkeypatch, args
+    ):
+        # each setting has one spelling, on the command that uses it
+        requests = counted_requests(monkeypatch)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"programs": "pool8", "opponents": "standard-8",
+                                      "k": 1, "baselines": []}))
+        paths = {"policy": POLICY, "out": tmp_path / "out", "config": config}
+        result = runner.invoke(main, [arg.format(**paths) for arg in args])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output
+        assert requests == []
+        assert not (tmp_path / "out").exists()
+
 
 JSON_DEFECTS = ("missing", "directory", "not-utf8", "not-json", "not-object")
 SCORE8 = ["score", "--programs", "pool8", "--opponents", "standard-8", "--k", "1"]
@@ -1265,6 +1309,11 @@ INPUT_KINDS = {
         JSON_DEFECTS,
     ),
     "config": ("c.json", lambda f: ["report", "--config", str(f)], JSON_DEFECTS),
+    "opponents": (
+        "o.json",
+        lambda f: ["metric", "--pi", POLICY, "--other", POLICY, "--opponents", str(f)],
+        ("missing", "directory"),
+    ),
     "provider-config": (
         "p.json",
         lambda f: SCORE8 + ["--provider", "http", "--provider-config", str(f)],

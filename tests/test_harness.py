@@ -185,7 +185,7 @@ class TestLoaders:
         assert oset.max_ticks == 10
 
     def test_missing_opponent_set_rejected(self):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ConfigError, match="cannot read nonexistent.json"):
             load_opponent_set("nonexistent.json")
 
 
