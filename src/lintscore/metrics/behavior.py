@@ -199,8 +199,10 @@ def compare(
 ) -> list[BehaviorReport]:
     """The three measures of each ``other`` against its π, in pair order.
 
-    A report is a pure function of both canonical texts and ``per_unit``,
-    so ``oset`` keeps it and a repeat pair is served without measuring.
+    A report is a pure function of both programs' behaviour keys and
+    ``per_unit`` (see :class:`OpponentSet`), so ``oset`` keeps it and a
+    repeat pair, or a pair of behaviour-alike programs such as an
+    obfuscated copy and its original, is served without measuring.
     The rest are measured in one batch, split by opponent over every CPU
     this process may run on: opponent ``i`` goes to shard ``i % n``, the
     calling process works shard 0 and a forked child each other one.  Every

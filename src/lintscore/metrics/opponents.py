@@ -9,7 +9,13 @@ from typing import TYPE_CHECKING
 
 from ..microlang import ParseError, Program, parse, print_program
 from ..resources import ConfigError, read_json, read_text
-from ..sim import GameState, MatchRecord, play_match, state_from_map_dict
+from ..sim import (
+    GameState,
+    MatchRecord,
+    behaviour_form,
+    play_match,
+    state_from_map_dict,
+)
 
 if TYPE_CHECKING:
     from .behavior import BehaviorReport
@@ -35,14 +41,19 @@ class Opponent:
 class OpponentSet:
     """A named list of opponent policies on one map with fixed seeds.
 
-    Matches are cached per (policy text, opponent index): the simulator is
-    deterministic, so equal canonical sources always replay identically.
-    Each new match against an opponent follows the distinct records already
-    played against it for as long as it repeats one of them (see
-    :func:`play_match`), so a shared match is simulated and stored once.
-    Behavior reports are kept the same way, per (π text, other text,
-    ``per_unit``), so :func:`~.behavior.compare` measures each pair once,
-    however many batches repeat it.
+    Matches are cached per (behaviour key, opponent index).  A program's
+    behaviour key is the canonical text of its behaviour form
+    (:func:`~lintscore.sim.behaviour_form`), which drops the statements
+    that cannot change a resolved joint assignment, so programs with one
+    key play every match alike: an obfuscated copy reuses its original's
+    matches.  A record kept for a key was played by the first program with
+    that key, so the ``source`` of its actions is that program's verb;
+    ``Action`` equality ignores it.  Each new match against an opponent
+    follows the distinct records already played against it for as long as
+    it repeats one of them (see :func:`play_match`), so a shared match is
+    simulated and stored once.  Behavior reports are kept the same way, per
+    (π key, other key, ``per_unit``), so :func:`~.behavior.compare`
+    measures each pair once, however many batches repeat it.
 
     Each opponent's matches depend on no other opponent's, so
     :meth:`play` works one opponent at a time and may run in a forked
@@ -66,7 +77,7 @@ class OpponentSet:
         self._cache: dict[tuple[str, int], MatchRecord] = {}
         # per opponent index, the distinct records in _cache
         self._played: list[list[MatchRecord]] = [[] for _ in opponents]
-        # id(program) -> its canonical text, dropped when the program is freed
+        # id(program) -> its behaviour key, dropped when the program is freed
         self._keys: dict[int, str] = {}
         # pair_key(pi, other, per_unit) -> compare's report for that pair
         self.reports: dict[tuple[str, str, bool], BehaviorReport] = {}
@@ -80,10 +91,13 @@ class OpponentSet:
         return state_from_map_dict(self.map_data, seed=self.seed + index)
 
     def _key_text(self, program: Program) -> str:
+        """The canonical text of ``program``'s behaviour form: programs
+        with equal texts resolve every state alike (see
+        :func:`~lintscore.sim.behaviour_form`)."""
         key = id(program)
         text = self._keys.get(key)
         if text is None:
-            text = self._keys[key] = print_program(program)
+            text = self._keys[key] = print_program(behaviour_form(program))
             weakref.finalize(program, self._keys.pop, key, None)
         return text
 
@@ -108,7 +122,7 @@ class OpponentSet:
         programs: list[tuple[str, Program]],
         views: dict[tuple, GameState],
     ) -> tuple[list[MatchRecord], list[MatchRecord]]:
-        """The records of distinct (canonical text, program) pairs against
+        """The records of distinct (behaviour key, program) pairs against
         opponent ``index``, playing the missing ones in order, each following
         the records played before it; nothing is stored (see :meth:`store`).
         The matches share ``views``, states restored from snapshots of

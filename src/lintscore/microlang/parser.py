@@ -14,7 +14,8 @@ this syntax, and ``parse(print_program(p)) == p`` for every valid program.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ast import (
     BOOL_FUNCTIONS,
@@ -52,52 +53,50 @@ class ArityError(ParseError):
     """A call with the wrong number of arguments."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "number", or the punctuation character itself
     text: str
     line: int
     col: int
 
 
-_PUNCT = set("(){}.,;")
+# One alternative per lexical class, tried in order; ``other`` takes any
+# character no other one does, so the matches tile the source.  ``\d`` is
+# exactly ``str.isdecimal``, so every number token is a valid ``int``.
+# ``\w`` is ``str.isalnum`` or ``_``: a name must still start with a letter or
+# ``_``, which ``[^\W\d]`` alone would not ensure (it admits ``²``).
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
+    r"|(?P<punct>[(){}.,;])|(?P<number>\d+)|(?P<name>[^\W\d]\w*)|(?P<other>.)"
+)
 
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    append = tokens.append
+    line, start = 1, 0  # start: the index where the current line begins
+    match = None
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token("number", source[start:i], line, col))
-            col += i - start
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(Token("name", source[start:i], line, col))
-            col += i - start
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            start = match.end()
+            continue
+        if kind == "space" or kind == "comment":
+            continue
+        col = match.start() - start + 1
+        text = match.group()
+        if kind == "punct":
+            kind = text
+        elif kind != "number" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        append(Token(kind, text, line, col))
+    # the end of input stands after the last character, or at the start of a
+    # comment that ends the source
+    end = len(source)
+    if match is not None and match.lastgroup == "comment":
+        end = match.start()
+    tokens.append(Token("eof", "", line, end - start + 1))
     return tokens
 
 

@@ -28,7 +28,10 @@ def verify_neutral(
     outcomes, feature vectors, and per-decision states and assignments.
 
     The first divergence per opponent is recorded with enough context to
-    locate it (opponent, decision index, what differed).
+    locate it (opponent, decision index, what differed).  Programs with one
+    behaviour key share their records in ``oset`` (see
+    :class:`~lintscore.metrics.OpponentSet`), so they are equal here
+    without a second simulation.
     """
     divergences: list[Divergence] = []
     recs_pi = oset.matches(pi)

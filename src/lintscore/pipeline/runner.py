@@ -191,10 +191,14 @@ def _sample(
 
     A completion's ``<strategy>`` body is parsed as a Microlanguage program; a
     missing tag falls back to the raw response text.  A provider error or an
-    unparseable completion becomes its error message, never a retry.
+    unparseable completion becomes its error message, never a retry.  Each
+    distinct text is parsed once: completions with equal texts share one
+    program, or one error.
     """
 
     samples: list[Program | str] = []
+    # text -> its program or parse error; at most k entries
+    parsed: dict[str, Program | str] = {}
     for index in range(k):
         try:
             response = provider.complete(
@@ -204,10 +208,13 @@ def _sample(
             samples.append(f"provider error: {exc}")
             continue
         body = extract_tag(response, "strategy")
-        try:
-            samples.append(parse(response if body is None else body))
-        except ParseError as exc:
-            samples.append(f"parse error: {exc}")
+        text = response if body is None else body
+        if text not in parsed:
+            try:
+                parsed[text] = parse(text)
+            except ParseError as exc:
+                parsed[text] = f"parse error: {exc}"
+        samples.append(parsed[text])
     return samples
 
 

@@ -8,7 +8,7 @@ from .engine import (
     snapshot_digest,
     step,
 )
-from .evaluator import distances, evaluate_policy, resolve_joint
+from .evaluator import behaviour_form, distances, evaluate_policy, resolve_joint
 from .state import GameState, Unit, restore_state, state_from_map_dict
 from .units import DEFAULT_STATS, UnitStats
 
@@ -21,6 +21,7 @@ __all__ = [
     "MatchRecord",
     "Unit",
     "UnitStats",
+    "behaviour_form",
     "distances",
     "evaluate_policy",
     "play_match",

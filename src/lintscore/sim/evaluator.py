@@ -507,6 +507,117 @@ _KIND_GUARDS: dict[str, Callable[[str, UnitStats, tuple], bool]] = {
 }
 
 
+def _carriers(cmd: Command) -> frozenset[str]:
+    """The unit kinds that can carry out ``cmd`` (see ``_COMMANDS``)."""
+    entry = _COMMANDS.get(cmd.name)
+    if entry is None:
+        raise ValueError(f"unknown command {cmd.name!r}")
+    carries = entry[1]
+    return frozenset(
+        kind for kind, stats in DEFAULT_STATS.items() if carries(stats, cmd.args)
+    )
+
+
+def _holders(call: BoolCall) -> frozenset[str]:
+    """The unit kinds for which the kind guard ``call`` can hold (see
+    ``_KIND_GUARDS``)."""
+    holds = _KIND_GUARDS.get(call.name)
+    if holds is None:
+        raise ValueError(f"unknown guard {call.name!r}")
+    return frozenset(
+        kind for kind, stats in DEFAULT_STATS.items() if holds(kind, stats, call.args)
+    )
+
+
+# ---------------------------------------------------------------------------
+# behaviour form: the statements that can change a resolved joint assignment
+# ---------------------------------------------------------------------------
+
+# commands whose every assignment equals the idle fill of resolve_joint
+_DEFAULTS = frozenset({"idle", "attack_if_in_range"})
+# guards that read the assignments made so far at this decision point
+_COUNTER_GUARDS = frozenset({"haveQtdUnitsAttacking", "hasNumberOfWorkersHarvesting"})
+_ALL_KINDS = frozenset(DEFAULT_STATS)
+_NO_KINDS: frozenset[str] = frozenset()
+
+
+def behaviour_form(program: Program) -> Program:
+    """``program`` without the statements that cannot change what
+    :func:`resolve_joint` returns on any state, so two programs that differ
+    only in such statements have one form.
+
+    A guard chain admits a set of unit kinds for ``u``: every kind in a
+    ``for`` body, none outside a loop (where commands are inert).
+    ``is_Type``, ``isBuilder`` and ``canAttack`` narrow the then branch to
+    the kinds for which they can hold and the else branch to the rest;
+    ``canHarvest`` also tests the state, so only its then branch narrows.
+    A command that no admitted kind can carry out is dropped, and so is an
+    ``if`` or loop left empty; a guard that cannot hold leaves its else
+    statements, one that must hold its then statements.  Last, trailing
+    top-level statements whose commands are all ``idle()`` or
+    ``attack_if_in_range()`` are dropped: either assigns what the idle fill
+    would, and nothing after them reads the assignment counters.  Only
+    :attr:`~.actions.Action.source` can tell them apart, which
+    ``Action`` equality ignores.
+    """
+    body = _pruned(program.body, None)
+    while body and all(
+        stmt.name in _DEFAULTS
+        for stmt in (body[-1], *walk(body[-1]))
+        if stmt.__class__ is Command
+    ):
+        body.pop()
+    return Program(tuple(body))
+
+
+def _pruned(stmts: tuple[Statement, ...],
+            admitted: frozenset[str] | None) -> list[Statement]:
+    """``stmts`` where the enclosing guard chain admits the unit kinds
+    ``admitted``: ``None`` where no unit is bound, none where the
+    statements cannot run (see :func:`behaviour_form`)."""
+    kept: list[Statement] = []
+    for stmt in stmts:
+        cls = stmt.__class__
+        if cls is Command:
+            if _carriers(stmt) & (admitted or _NO_KINDS):
+                kept.append(stmt)
+        elif cls is ForLoop:
+            # a loop binds a unit of any kind, unless it cannot run at all
+            inner = _NO_KINDS if admitted == _NO_KINDS else _ALL_KINDS
+            body = _pruned(stmt.body, inner)
+            if body:
+                kept.append(ForLoop(tuple(body)))
+        elif cls is If:
+            then_kinds, else_kinds = _narrowed(stmt.cond, admitted)
+            then = _pruned(stmt.then, then_kinds)
+            orelse = _pruned(stmt.orelse or (), else_kinds)
+            if then_kinds == _NO_KINDS or else_kinds == _NO_KINDS:
+                # the guard's value is known: at most one branch can run
+                kept += then + orelse
+            elif then or orelse:
+                kept.append(If(stmt.cond, tuple(then), tuple(orelse) or None))
+        elif cls is not Empty:
+            raise TypeError(f"not a statement: {stmt!r}")
+    return kept
+
+
+def _narrowed(call: BoolCall, admitted: frozenset[str] | None) -> tuple[
+        frozenset[str] | None, frozenset[str] | None]:
+    """The unit kinds that the then and else branches of ``call`` admit,
+    given that its guard chain admits ``admitted`` (see :func:`_pruned`)."""
+    name = call.name
+    if name in _STATE_GUARDS or name in _COUNTER_GUARDS:
+        if admitted is None and name in _UNIT_GATED:
+            return _NO_KINDS, None
+        return admitted, admitted
+    holders = _holders(call)
+    if admitted is None:
+        return _NO_KINDS, None
+    if name == "canHarvest":
+        return admitted & holders, admitted
+    return admitted & holders, admitted - holders
+
+
 # ---------------------------------------------------------------------------
 # code generation: each program is lowered once to one Python function
 # ``run(ctx)``
@@ -527,12 +638,15 @@ _KIND_GUARDS: dict[str, Callable[[str, UnitStats, tuple], bool]] = {
 #
 # The source holds no text of the program: every command, guard call,
 # argument and kind set is bound in the function's namespace under a
-# generated name. A block nested deeper than ``_MAX_INDENT`` levels goes
+# generated name. The lowering emits every command some kind can carry
+# out; an opponent set keys matches and pair reports by the printed
+# behaviour form (:func:`behaviour_form`), which also drops the commands
+# that the enclosing guards leave no kind to carry out, and trailing
+# default statements. A block nested deeper than ``_MAX_INDENT`` levels goes
 # into a function of its own, so no program meets Python's limits on
 # nesting.
 
 _MAX_INDENT = 12
-_ALL_KINDS = frozenset(DEFAULT_STATS)
 
 
 class _Lowering:
@@ -596,18 +710,13 @@ class _Lowering:
                 pad: str) -> list[str]:
         if unit is None:
             return []
-        entry = _COMMANDS.get(cmd.name)
-        if entry is None:
-            raise ValueError(f"unknown command {cmd.name!r}")
-        run, carries = entry
-        kinds = frozenset(
-            kind for kind, stats in DEFAULT_STATS.items() if carries(stats, cmd.args)
-        )
+        kinds = _carriers(cmd)
         if not kinds:
             return []
         tests = [] if leaf else [f"{unit}.uid not in assigned"]
         if kinds != _ALL_KINDS:
             tests.append(f"{unit}.kind in {self.bind(kinds)}")
+        run = _COMMANDS[cmd.name][0]
         if run is _spawn:
             kind = self.bind(cmd.args[0])
             tests += [
@@ -690,12 +799,7 @@ class _Lowering:
             return [], f"ctx.harvesting >= {self.bind(args[0])}"
         if unit is None:
             return None
-        holds = _KIND_GUARDS.get(name)
-        if holds is None:
-            raise ValueError(f"unknown guard {name!r}")
-        kinds = frozenset(
-            kind for kind, stats in DEFAULT_STATS.items() if holds(kind, stats, args)
-        )
+        kinds = _holders(call)
         if not kinds:
             return None
         condition = f"{unit}.kind in {self.bind(kinds)}"

@@ -106,6 +106,14 @@ class TestParseCmd:
         assert result.exit_code == 1
         assert "line" in result.stderr
 
+    def test_non_decimal_digit_exits_one(self, runner, tmp_path):
+        bad = tmp_path / "bad.mrl"
+        bad.write_text("for(Unit u){ u.harvest(²) }", encoding="utf-8")
+        result = runner.invoke(main, ["parse", str(bad)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "unexpected character '²' (line 1, column 24)" in result.stderr
+
     def test_missing_file_exits_two(self, runner, tmp_path):
         result = runner.invoke(main, ["parse", str(tmp_path / "ghost.mrl")])
         assert result.exit_code == 2

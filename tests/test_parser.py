@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tokenizer_oracle
 from lintscore.microlang import (
     ArityError,
     BoolCall,
@@ -20,6 +21,9 @@ from lintscore.microlang import (
     to_dict,
     walk,
 )
+from lintscore.microlang.parser import _tokenize
+from lintscore.obfuscate import LEVELS, obfuscate
+from lintscore.resources import data_path
 
 
 def roundtrip(source):
@@ -135,6 +139,123 @@ class TestParseErrors:
     def test_error_subclasses(self):
         assert issubclass(UnknownIdentifier, ParseError)
         assert issubclass(ArityError, ParseError)
+
+    @pytest.mark.parametrize(
+        "source, col",
+        [
+            ("for(Unit u){ u.harvest(²) }", 24),  # str.isdigit, not a decimal
+            ("u.harvest(1²)", 12),
+            ("u.harvest(½)", 11),
+        ],
+    )
+    def test_non_decimal_digit_is_a_parse_error(self, source, col):
+        with pytest.raises(ParseError) as excinfo:
+            parse(source)
+        error = excinfo.value
+        assert (error.message, error.line, error.col) == (
+            f"unexpected character {source[col - 1]!r}",
+            1,
+            col,
+        )
+
+    def test_other_decimal_digits_are_numbers(self):
+        # "٣" is a decimal digit (ARABIC-INDIC THREE), as int() reads it
+        assert parse("u.harvest(٣)") == parse("u.harvest(3)")
+
+
+def _bundled_sources():
+    return sorted(
+        (str(path.relative_to(data_path("policies"))), path.read_text(encoding="utf-8"))
+        for path in data_path("policies").rglob("*.mrl")
+    )
+
+
+# Defects one edit away from valid text: stray and non-ASCII characters,
+# digits that are not decimal, a lone slash, comments, other whitespace.
+_EDITS = list("(){}.,;/ \t\r\n_0123456789uaZ@#²³½٣éß\u00a0\u2028\f") + [
+    "//", "// note", "\n//", "Worker", "for", "if", "else",
+]
+_MALFORMED = [
+    "",
+    "//",
+    "u.idle() // done",
+    "u.idle()\n// done\n",
+    "u.idle() /",
+    "\r\n\tu.idle()\t\r",
+    "u.harvest(007)",
+    "u.harvest(12abc)",
+    "_x9 é ß",
+    "u.idle()\u00a0",
+    "for(Unit u){\n    u.harvest(²)\n}",
+    "u.harvest(٣٣)",
+]
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+class TestTokenizer:
+    """``_tokenize`` against the character-walking tokenizer it replaced:
+    equal tokens, or an equal ``ParseError`` message, line and column.  The
+    one difference: where the old one made a number token that ``int``
+    cannot read (a non-decimal digit such as ``²``), the new one raises
+    ``unexpected character`` at that digit."""
+
+    def _check(self, source):
+        """Compare on ``source``; true where the difference above applies."""
+        expected = _tokens_or_error(tokenizer_oracle.tokenize, source)
+        if isinstance(expected, tuple):
+            # the old tokens up to the character it rejected
+            _, line, col = expected
+            head = sum(len(text) + 1 for text in source.split("\n")[: line - 1])
+            tokens = _tokens_or_error(
+                tokenizer_oracle.tokenize, source[: head + col - 1]
+            )
+        else:
+            tokens = expected
+        bad = next(
+            (
+                (f"unexpected character {char!r}", line, col + offset)
+                for kind, text, line, col in tokens
+                if kind == "number"
+                for offset, char in enumerate(text)
+                if not char.isdecimal()
+            ),
+            None,
+        )
+        assert _tokens_or_error(_tokenize, source) == (bad or expected), source
+        return bad is not None
+
+    def test_bundled_policies(self):
+        sources = _bundled_sources()
+        assert len(sources) == 41
+        for _, source in sources:
+            self._check(source)
+
+    def test_obfuscated_pool(self, pool16):
+        for _, program in pool16:
+            for level in LEVELS:
+                self._check(print_program(obfuscate(program, level)))
+
+    @pytest.mark.parametrize("source", _MALFORMED)
+    def test_malformed(self, source):
+        self._check(source)
+
+    def test_one_edit_from_bundled_policies(self):
+        rng = random.Random(21)
+        sources = [source for _, source in _bundled_sources()]
+        non_decimal = 0
+        for _ in range(2000):
+            source = rng.choice(sources)
+            at = rng.randrange(len(source) + 1)
+            cut = rng.choice((0, 0, 1, 2))
+            source = source[:at] + rng.choice(_EDITS) + source[at + cut:]
+            non_decimal += self._check(source)
+        assert non_decimal
 
 
 class TestPrinter:

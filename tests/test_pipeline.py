@@ -29,6 +29,7 @@ from lintscore.pipeline import (
     verify,
 )
 from lintscore.pipeline.mocks import ACCEPT_RESPONSE
+from lintscore.pipeline import runner
 from lintscore.pipeline.runner import WORST
 from lintscore.resources import data_path
 
@@ -223,6 +224,49 @@ class TestReconstruct:
         assert bad.error == samples[2]
         assert (bad.action, bad.outcome, bad.feature) == (0.0, 0.0, 1.0)
         assert all(not t.failed for i, t in enumerate(trials) if i != 2)
+
+    def test_equal_completions_are_parsed_once(self, bundle, monkeypatch):
+        calls = []
+        real = runner.parse
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(runner, "parse", counting)
+        provider = ScriptedProvider({"reconstructor": wrap("strategy", SIMPLE)})
+        samples = reconstruct("anything", bundle, provider, k=4)
+        assert provider.calls("reconstructor") == 4
+        assert calls == [SIMPLE]
+        assert isinstance(samples[0], Program)
+        assert all(sample is samples[0] for sample in samples)
+
+        calls.clear()
+        provider = ScriptedProvider({"reconstructor": wrap("strategy", "keep safe")})
+        samples = reconstruct("anything", bundle, provider, k=3)
+        assert calls == ["keep safe"]
+        assert samples[0].startswith("parse error:")
+        assert samples == [samples[0]] * 3
+
+    def test_non_decimal_digit_fails_only_its_trial(self, bundle, tiered, oset8):
+        provider = ScriptedProvider(
+            {
+                "explainer": wrap("explanation", "Harvest, then attack."),
+                "verifier": ACCEPT_RESPONSE,
+                "reconstructor": [
+                    wrap("strategy", SIMPLE),
+                    wrap("strategy", "for(Unit u){ u.harvest(²) }"),
+                    wrap("strategy", SIMPLE),
+                ],
+            }
+        )
+        _, [run] = lint_score([("tiered", tiered)], oset8, bundle, provider, k=3)
+        assert run.error is None
+        assert [t.failed for t in run.trials] == [False, True, False]
+        assert run.trials[1].error == (
+            "parse error: unexpected character '²' (line 1, column 24)"
+        )
+        assert run.aggregated == WORST
 
     def test_provider_error_becomes_failed_trial(self, bundle, tiered, tmp_path):
         provider = ReplayCacheProvider(tmp_path)  # empty: every call misses
@@ -472,7 +516,15 @@ class TestLintScore:
         assert [
             (print_program(pi), print_program(sample)) for pi, sample in keyed_pairs
         ] == parsed
-        assert len({id(sample) for _, sample in keyed_pairs}) == len(parsed)
+        # trials of one program with equal texts share one parsed sample
+        distinct = {
+            (run.program_id, trial.source)
+            for run in runs
+            for trial in run.trials
+            if not trial.failed
+        }
+        assert len(distinct) < len(parsed)
+        assert len({id(sample) for _, sample in keyed_pairs}) == len(distinct)
 
     def test_rejects_empty_inputs(self, bundle, oset8):
         with pytest.raises(ValueError):
