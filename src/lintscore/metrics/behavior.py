@@ -209,7 +209,10 @@ def compare(
     opponent plays the same matches in the same order as one process would
     (each pair's π, then its other, first occurrences only), and the parts
     are summed in opponent and state order, so the reports and what
-    ``oset`` keeps are identical at any CPU count.  No process is started
+    ``oset`` keeps are identical at any CPU count.  ``oset`` keeps the πs'
+    records only: an other's records serve its opponent's work and are
+    dropped when it ends, and a child shard sends back only the πs' new
+    records and each pair's parts.  No process is started
     with one CPU, with nothing to measure or while other threads run.
     Threads that share ``oset`` measure one batch at a time.
     """
@@ -242,14 +245,16 @@ def _measure(
                 position[text] = len(programs)
                 programs.append((text, program))
     jobs = [(position[a], position[b], pair[1]) for (a, b, _), pair in todo.items()]
+    # the πs' positions, in first-use order: only their records are kept
+    kept = sorted({a for a, _, _ in jobs})
 
     # a forked child runs only the calling thread, and would inherit held
     # any lock another thread holds: with other threads, one shard
     shards = min(_cpu_count(), len(oset)) if threading.active_count() == 1 else 1
-    results = _run_shards(oset, programs, jobs, per_unit, shards)
-    oset.store(programs, [(new, records) for new, records, _ in results])
+    results = _run_shards(oset, programs, kept, jobs, per_unit, shards)
+    oset.store([programs[p] for p in kept], [records for records, _ in results])
     for p, key in enumerate(todo):
-        parts = [result[2][p] for result in results]
+        parts = [result[1][p] for result in results]
         oset.reports[key] = BehaviorReport(
             action=_action(values for values, _, _ in parts),
             outcome=_outcome([same for _, same, _ in parts]),
@@ -261,23 +266,26 @@ def _opponent(
     oset: OpponentSet,
     index: int,
     programs: list[tuple[str, Program]],
+    kept: list[int],
     jobs: _Jobs,
     per_unit: bool,
-) -> tuple[list[MatchRecord], list[MatchRecord], list[tuple]]:
-    """Play the batch against opponent ``index``; each pair's parts there.
+) -> tuple[list[MatchRecord], list[tuple]]:
+    """Play the batch against opponent ``index``; the records of the
+    programs at positions ``kept`` and each pair's parts there.
 
-    The matches and replays share one read-only state per distinct snapshot
-    they restore, kept only while this opponent's work lasts.  That keeps
-    many objects alive, which collections would scan again and again, so
-    the cyclic collector is paused meanwhile."""
+    The records of the other programs, and one read-only state per distinct
+    snapshot that the matches and replays restore, serve only this
+    opponent's work and are dropped when it ends.  Meanwhile they keep many
+    objects alive, which collections would scan again and again, so the
+    cyclic collector is paused."""
     with _paused_collector():
         views: dict[tuple, GameState] = {}
-        new, records = oset.play(index, programs, views)
+        records = oset.play(index, programs, views)
         parts = [
             _parts(records[a], records[b], other, per_unit, views)
             for a, b, other in jobs
         ]
-    return new, records, parts
+    return [records[p] for p in kept], parts
 
 
 @contextmanager
@@ -296,10 +304,11 @@ def _paused_collector() -> Iterator[None]:
 def _run_shards(
     oset: OpponentSet,
     programs: list[tuple[str, Program]],
+    kept: list[int],
     jobs: _Jobs,
     per_unit: bool,
     shards: int,
-) -> list[tuple[list[MatchRecord], list[MatchRecord], list[tuple]]]:
+) -> list[tuple[list[MatchRecord], list[tuple]]]:
     """:func:`_opponent` for every opponent, in opponent order."""
     results: list = [None] * len(oset)
 
@@ -309,9 +318,11 @@ def _run_shards(
     children = []
     try:
         for shard in range(1, shards):
-            children.append(_fork(oset, work(shard), programs, jobs, per_unit))
+            children.append(
+                _fork(oset, work(shard), programs, kept, jobs, per_unit)
+            )
         for index in work(0):
-            results[index] = _opponent(oset, index, programs, jobs, per_unit)
+            results[index] = _opponent(oset, index, programs, kept, jobs, per_unit)
         for shard, (pid, source) in enumerate(children, 1):
             for index in work(shard):
                 results[index] = _receive(source, oset, index, pid)
@@ -330,12 +341,14 @@ def _fork(
     oset: OpponentSet,
     indices: list[int],
     programs: list[tuple[str, Program]],
+    kept: list[int],
     jobs: _Jobs,
     per_unit: bool,
 ) -> tuple[int, BinaryIO]:
     """Fork a child that works ``indices`` and sends one pickled message per
-    opponent, ``(None, (packed result, parts))``, or ``(traceback, None)``
-    when it fails.  Returns its pid and the read end of its pipe."""
+    opponent, ``(None, (packed kept records, parts))``, or
+    ``(traceback, None)`` when it fails.  Returns its pid and the read end
+    of its pipe."""
     # imported where a batch forks, not with the module: it would add a few
     # milliseconds to the start-up of every run
     import pickle
@@ -357,10 +370,10 @@ def _fork(
             try:
                 messages = []
                 for index in indices:
-                    new, records, parts = _opponent(
-                        oset, index, programs, jobs, per_unit
+                    records, parts = _opponent(
+                        oset, index, programs, kept, jobs, per_unit
                     )
-                    messages.append((oset.pack(index, new, records), parts))
+                    messages.append((oset.pack(index, records), parts))
                 for message in messages:
                     sink.write(pickle.dumps((None, message), pickle.HIGHEST_PROTOCOL))
                 status = 0
@@ -385,5 +398,4 @@ def _receive(source: BinaryIO, oset: OpponentSet, index: int, pid: int) -> tuple
     if failure is not None:
         raise ShardError(f"shard process {pid} failed", failure)
     packed, parts = message
-    new, records = oset.unpack(index, packed)
-    return new, records, parts
+    return oset.unpack(index, packed), parts

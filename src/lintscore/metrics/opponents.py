@@ -55,6 +55,13 @@ class OpponentSet:
     (π key, other key, ``per_unit``), so :func:`~.behavior.compare`
     measures each pair once, however many batches repeat it.
 
+    The set keeps the records of the programs it is asked to keep:
+    :meth:`matches` keeps its program's, a :func:`~.behavior.compare` batch
+    only its πs'.  A program that a batch only compares against a π, such
+    as a reconstruction or a k-shot sample, has its records followed and
+    replayed while its opponent's work lasts; they are then dropped, so
+    memory grows with the πs, not with their samples.
+
     Each opponent's matches depend on no other opponent's, so
     :meth:`play` works one opponent at a time and may run in a forked
     process (:meth:`pack`, :meth:`unpack`); :meth:`store` then keeps the
@@ -107,29 +114,27 @@ class OpponentSet:
         return (self._key_text(pi), self._key_text(other), per_unit)
 
     def matches(self, program: Program) -> list[MatchRecord]:
-        """One record per opponent, evaluated policy playing as player 0."""
+        """One record per opponent, evaluated policy playing as player 0;
+        the set keeps them."""
         programs = [(self._key_text(program), program)]
         with self.lock:
             results = [
                 self.play(index, programs, {}) for index in range(len(self))
             ]
             self.store(programs, results)
-        return [records[0] for _, records in results]
+        return [records[0] for records in results]
 
     def play(
         self,
         index: int,
         programs: list[tuple[str, Program]],
         views: dict[tuple, GameState],
-    ) -> tuple[list[MatchRecord], list[MatchRecord]]:
-        """The records of distinct (behaviour key, program) pairs against
-        opponent ``index``, playing the missing ones in order, each following
-        the records played before it; nothing is stored (see :meth:`store`).
+    ) -> list[MatchRecord]:
+        """The record of each (behaviour key, program) against opponent
+        ``index``, playing the missing ones in order, each following the
+        records played before it; nothing is stored (see :meth:`store`).
         The matches share ``views``, states restored from snapshots of
-        opponent ``index``'s matches (see :func:`play_match`).
-
-        Returns the new distinct records and one record per program.
-        """
+        opponent ``index``'s matches (see :func:`play_match`)."""
         played = list(self._played[index])
         records = []
         for text, program in programs:
@@ -146,30 +151,43 @@ class OpponentSet:
                 if all(r is not record for r in played):
                     played.append(record)
             records.append(record)
-        return played[len(self._played[index]):], records
+        return records
+
+    def _new(self, index: int, records: list[MatchRecord]) -> list[MatchRecord]:
+        """The distinct ``records`` that ``_played[index]`` lacks, in order."""
+        known = {id(record) for record in self._played[index]}
+        new = []
+        for record in records:
+            if id(record) not in known:
+                known.add(id(record))
+                new.append(record)
+        return new
 
     def store(
         self,
         programs: list[tuple[str, Program]],
-        results: list[tuple[list[MatchRecord], list[MatchRecord]]],
+        results: list[list[MatchRecord]],
     ) -> None:
-        """Keep what :meth:`play` returned for ``programs``, one result per
-        opponent, in the order that playing one program at a time keeps it."""
-        for played, (new, _) in zip(self._played, results):
-            played.extend(new)
+        """Keep the records of ``programs``, one list per opponent as
+        :meth:`play` returned them, in program order.  Records of programs
+        played with them but left out here are dropped with their
+        caller's work."""
+        for index, records in enumerate(results):
+            self._played[index].extend(self._new(index, records))
         for position, (text, _) in enumerate(programs):
-            for index, (_, records) in enumerate(results):
+            for index, records in enumerate(results):
                 self._cache.setdefault((text, index), records[position])
 
     def pack(
-        self, index: int, new: list[MatchRecord], records: list[MatchRecord]
+        self, index: int, records: list[MatchRecord]
     ) -> tuple[list[MatchRecord], list[int]]:
-        """A result of :meth:`play` for a process that holds this set as it
-        was before the play: records and entries that it already holds are
-        sent as positions, record ``r`` and entry ``(r, e)`` of
-        ``_played[index]``.  Records of one opponent share entries with no
-        other opponent's."""
+        """Records against opponent ``index`` for a process that holds this
+        set as it was before they were played: records and entries that it
+        already holds are sent as positions, record ``r`` and entry
+        ``(r, e)`` of ``_played[index]``.  Records of one opponent share
+        entries with no other opponent's."""
         prior = self._played[index]
+        new = self._new(index, records)
         entry_at: dict[int, tuple[int, int]] = {}
         for r, record in enumerate(prior):
             for e, entry in enumerate(record.entries):
@@ -186,8 +204,8 @@ class OpponentSet:
 
     def unpack(
         self, index: int, packed: tuple[list[MatchRecord], list[int]]
-    ) -> tuple[list[MatchRecord], list[MatchRecord]]:
-        """The result that :meth:`pack` turned into ``packed``."""
+    ) -> list[MatchRecord]:
+        """The records that :meth:`pack` turned into ``packed``."""
         new, positions = packed
         prior = self._played[index]
         for record in new:
@@ -196,7 +214,7 @@ class OpponentSet:
                 for entry in record.entries
             ]
         played = prior + new
-        return new, [played[r] for r in positions]
+        return [played[r] for r in positions]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OpponentSet":

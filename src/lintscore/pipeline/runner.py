@@ -123,16 +123,23 @@ def parse_verdict(response: str) -> Verdict:
     )
 
 
+def _source(program: Program | str) -> str:
+    """A program's printed text; a text is taken as already printed."""
+
+    return program if isinstance(program, str) else print_program(program)
+
+
 def verify(
     explanation: str,
-    program: Program,
+    program: Program | str,
     bundle: PromptBundle,
     provider: Provider,
     trial: int = 0,
 ) -> Verdict:
-    """Ask the verifier whether the explanation leaks programming jargon."""
+    """Ask the verifier whether the explanation leaks programming jargon.
+    ``program`` is the explained program or its printed text."""
 
-    source = print_program(program)
+    source = _source(program)
     prompt = bundle.render_verifier(source, explanation)
     response = provider.complete(
         PromptRequest(
@@ -147,20 +154,21 @@ def verify(
 
 
 def explain(
-    program: Program,
+    program: Program | str,
     bundle: PromptBundle,
     provider: Provider,
     max_retries: int = 3,
 ) -> tuple[str, list[Verdict]]:
     """Sample explanations until the verifier accepts one.
 
-    Each attempt submits a fresh explainer prompt (trial index = attempt) and
-    one verifier call; a response without an ``<explanation>`` tag counts as a
-    rejected attempt.  Raises VerifierExhausted after ``max_retries``
-    rejections.
+    ``program`` is the program or its printed text, which every prompt
+    shows.  Each attempt submits a fresh explainer prompt (trial index =
+    attempt) and one verifier call; a response without an
+    ``<explanation>`` tag counts as a rejected attempt.  Raises
+    VerifierExhausted after ``max_retries`` rejections.
     """
 
-    source = print_program(program)
+    source = _source(program)
     prompt = bundle.render_explainer(source)
     verdicts: list[Verdict] = []
     for attempt in range(max_retries):
@@ -177,7 +185,7 @@ def explain(
                 )
             )
             continue
-        verdict = verify(explanation, program, bundle, provider, trial=attempt)
+        verdict = verify(explanation, source, bundle, provider, trial=attempt)
         verdicts.append(verdict)
         if verdict.accept:
             return explanation, verdicts
@@ -226,7 +234,8 @@ def score_samples(
     """The trials of each (π, samples) in ``batch``: sample i becomes trial
     i, scored against its π.  Every parsed sample of the batch is measured
     in one :func:`compare` call, in batch order; a failed sample scores
-    WORST and reaches no opponent set."""
+    WORST and reaches no opponent set.  Each distinct sample object is
+    printed once."""
 
     pairs = [
         (pi, sample)
@@ -235,6 +244,8 @@ def score_samples(
         if not isinstance(sample, str)
     ]
     reports = iter(compare(pairs, oset, per_unit) if pairs else ())
+    # id(sample) -> its printed text; every sample outlives the call
+    sources: dict[int, str] = {}
     scored = []
     for _, samples in batch:
         trials: list[Trial] = []
@@ -243,10 +254,13 @@ def score_samples(
                 trials.append(Trial(index, None, **WORST, error=sample))
                 continue
             report = next(reports)
+            source = sources.get(id(sample))
+            if source is None:
+                source = sources[id(sample)] = print_program(sample)
             trials.append(
                 Trial(
                     index,
-                    print_program(sample),
+                    source,
                     report.action,
                     report.outcome,
                     report.feature,
@@ -306,6 +320,7 @@ def _draw(
     ``finished_at`` after the last; other runs keep None in both."""
 
     tracker = _Tracker(provider)
+    source = print_program(program)
     http = provider.kind == "http"
     started = _now() if http else None
     explanation: str | None = None
@@ -315,7 +330,7 @@ def _draw(
 
     try:
         explanation, verdicts = explain(
-            program, bundle, tracker, max_retries=max_retries
+            source, bundle, tracker, max_retries=max_retries
         )
     except VerifierExhausted as exc:
         verdicts = exc.verdicts
@@ -338,7 +353,7 @@ def _draw(
     }
     return LintRun(
         program_id=program_id,
-        source=print_program(program),
+        source=source,
         explanation=explanation,
         verdicts=verdicts,
         trials=[],

@@ -2,7 +2,7 @@
 process left behind when a shard fails.
 
 ``behavior._cpu_count`` is patched to pretend to a CPU count; 16 exceeds the
-eight opponents of standard-8, so it also checks the cap.  Each run starts
+ten opponents of standard-8, so it also checks the cap.  Each run starts
 from a fresh opponent set, so every count measures everything itself.
 """
 import gc
@@ -61,11 +61,15 @@ def kept(oset):
 @pytest.mark.parametrize("per_unit", [False, True])
 def test_batches_equal_one_pair_at_a_time(monkeypatch, pool8, per_unit):
     """Two batches at every CPU count against the three metrics computed
-    pair by pair in one process, which play each π and then its other: the
-    same reports, and the same matches kept in the same order."""
+    pair by pair in one process, which play each π and then its other and
+    keep every match: the same reports.  The batches keep the matches of
+    their πs only, in the order each batch first uses them, each equal to
+    the pair-by-pair one; what they keep, entry sharing included, is the
+    same at every count."""
     programs = [program for _, program in pool8]
     pairs = [(programs[i], programs[(3 * i + j) % 10]) for i in range(10) for j in (1, 2)]
     pairs += pairs[:3] + [(programs[0], programs[0])]
+    batches = [pairs[:9], pairs[9:]]
     serial = fresh_set()
     expected = [
         BehaviorReport(
@@ -75,15 +79,40 @@ def test_batches_equal_one_pair_at_a_time(monkeypatch, pool8, per_unit):
         )
         for pi, other in pairs
     ]
-    _, expected_cache, expected_played = kept(serial)
+    # after each batch, its πs' keys and those of the batches before it,
+    # in first-use order
+    pi_texts: list[str] = []
+    expected_keys = []
+    for batch in batches:
+        texts = {serial._key_text(pi) for pi, _ in batch}
+        for pair in batch:
+            for program in pair:
+                text = serial._key_text(program)
+                if text in texts and text not in pi_texts:
+                    pi_texts.append(text)
+        expected_keys.append(
+            [(text, index) for text in pi_texts for index in range(len(serial))]
+        )
+    # some of the first batch's others are no π of it
+    used = {serial._key_text(program) for pair in batches[0] for program in pair}
+    assert len(expected_keys[0]) < len(used) * len(serial)
+    outputs = {}
     for count in CPU_COUNTS:
         pretend_cpus(monkeypatch, count)
         oset = fresh_set()
-        reports = compare(pairs[:9], oset, per_unit)
-        reports += compare(pairs[9:], oset, per_unit)
+        reports = []
+        for batch, keys in zip(batches, expected_keys):
+            reports += compare(batch, oset, per_unit)
+            assert list(oset._cache) == keys, count
         assert reports == expected, count
-        _, cache, played = kept(oset)
-        assert (cache, played) == (expected_cache, expected_played), count
+        for key, record in oset._cache.items():
+            assert record.to_json() == serial._cache[key].to_json(), (count, key)
+        assert {id(r) for played in oset._played for r in played} == {
+            id(r) for r in oset._cache.values()
+        }, count
+        outputs[count] = kept(oset)
+    for count in CPU_COUNTS[1:]:
+        assert outputs[count] == outputs[1], count
 
 
 @pytest.mark.parametrize("per_unit", [False, True])
@@ -275,20 +304,21 @@ def test_opponent_work_keeps_the_collector_state(monkeypatch, pool8, collecting)
         raise_error()
 
     pi, other = some_pairs(pool8)[0]
-    # (text, program) pairs as ``_measure`` passes them; a fresh set has
-    # no match cached under either text
+    # (text, program) pairs, kept positions and jobs as ``_measure`` passes
+    # them; a fresh set has no match cached under either text
     programs = [("pi", pi), ("other", other)]
+    keep = [0]
     jobs = [(0, 1, other)]
     enabled = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
         monkeypatch.setattr(behavior, "_parts", recording)
-        behavior._opponent(fresh_set(), 0, programs, jobs, False)
+        behavior._opponent(fresh_set(), 0, programs, keep, jobs, False)
         assert paused == [True]
         assert gc.isenabled() == collecting
         monkeypatch.setattr(behavior, "_parts", failing)
         with pytest.raises(RuntimeError, match="shard failure under test"):
-            behavior._opponent(fresh_set(), 0, programs, jobs, False)
+            behavior._opponent(fresh_set(), 0, programs, keep, jobs, False)
         assert gc.isenabled() == collecting
     finally:
         (gc.enable if enabled else gc.disable)()
