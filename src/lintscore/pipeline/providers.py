@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -83,6 +84,12 @@ class HttpProvider(Provider):
         timeout: float = 60.0,
         api_key_env: str = "LINT_API_KEY",
     ) -> None:
+        # checked here: the HTTP library would refuse it only at the first call
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ProviderError(
+                f"http provider: timeout must be a finite positive number of "
+                f"seconds, not {timeout!r}"
+            )
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -159,7 +166,7 @@ class CachingProvider(Provider):
 
     @property
     def kind(self) -> str:  # type: ignore[override]
-        return self.inner.kind
+        return "replay-cache" if self.inner is None else self.inner.kind
 
     def complete(self, request: PromptRequest) -> str:
         key = cache_key(self.model, request.prompt, request.trial)
@@ -185,8 +192,6 @@ class CachingProvider(Provider):
 
 class ReplayCacheProvider(CachingProvider):
     """A response cache with no inner provider, for deterministic replays."""
-
-    kind = "replay-cache"
 
 
 def _read_manifest(directory: Path) -> dict:

@@ -32,12 +32,16 @@ Distances and the cells one move away are read from the tables of the map's
 size (:func:`distances`), built the first time a run meets that size.
 
 Each program is lowered once to one generated Python function, cached for
-the program's lifetime. Under the unit table, ``units.DEFAULT_STATS``, every
-command runs only for the unit kinds that can carry it out (``train X``:
-kinds that train X; ``build X``: kinds that build X; ``attack`` and
-``attack_if_in_range``: kinds that can attack; ``harvest``: kinds that can
-harvest; ``moveToUnit`` and ``moveAway``: kinds that can move; ``idle``:
-every kind), since for any other kind it would be skipped anyway.
+the program's lifetime. What is lowered is the program's pruned form, the
+body of its behaviour form (:func:`behaviour_form`) with the trailing
+default statements kept: under the unit table, ``units.DEFAULT_STATS``, a
+statement that no unit kind admitted by its guard chain can act on is
+dropped first. Every remaining command runs only for the unit kinds that
+can carry it out (``train X``: kinds that train X; ``build X``: kinds that
+build X; ``attack`` and ``attack_if_in_range``: kinds that can attack;
+``harvest``: kinds that can harvest; ``moveToUnit`` and ``moveAway``: kinds
+that can move; ``idle``: every kind), since for any other kind it would be
+skipped anyway.
 """
 from __future__ import annotations
 
@@ -574,7 +578,9 @@ def _pruned(stmts: tuple[Statement, ...],
             admitted: frozenset[str] | None) -> list[Statement]:
     """``stmts`` where the enclosing guard chain admits the unit kinds
     ``admitted``: ``None`` where no unit is bound, none where the
-    statements cannot run (see :func:`behaviour_form`)."""
+    statements cannot run (see :func:`behaviour_form`).  This is the one
+    place that decides a statement cannot act: the lowering compiles its
+    result as it stands."""
     kept: list[Statement] = []
     for stmt in stmts:
         cls = stmt.__class__
@@ -623,26 +629,30 @@ def _narrowed(call: BoolCall, admitted: frozenset[str] | None) -> tuple[
 # ``run(ctx)``
 # ---------------------------------------------------------------------------
 #
+# The lowering compiles the pruned body (:func:`_pruned`), so every
+# statement it meets can act: each command has a bound unit and a kind that
+# can carry it out, no guard's value follows from the unit kinds alone, no
+# loop is empty, and no ``if`` has two empty branches. An opponent set keys matches and pair
+# reports by the printed behaviour form, which is the same pruned body
+# without its trailing default statements; those are compiled, since
+# ``Action.source`` tells them apart.
+#
 # Loops become nested ``for`` statements over ``ctx.own``, each with its own
 # loop variable. Every command is emitted behind a test that the bound
-# unit's kind is one that can carry it out under the unit table, and a command
-# no kind can carry out is not emitted; a statement that emits nothing is
-# dropped. A ``train`` or ``build`` also tests its count limit and the funds
-# left, which change only when a spawn is assigned. A loop with no inner loop skips assigned units, and once its
-# unit is assigned goes on to the next one: the rest of the body could only
-# skip that unit. In a loop with an inner loop, ``u`` is rebound, so each
-# command tests that its unit is still unassigned. The function returns as
-# soon as a command leaves every own unit assigned, since nothing can change
-# after that. State-only guards are memoized in ``ctx.guards``, keyed by a
-# number shared by equal calls; the others are tested where they stand.
+# unit's kind is one that can carry it out under the unit table. A ``train``
+# or ``build`` also tests its count limit and the funds left, which change
+# only when a spawn is assigned. A loop with no inner loop skips assigned
+# units, and once its unit is assigned goes on to the next one: the rest of
+# the body could only skip that unit. In a loop with an inner loop, ``u`` is
+# rebound, so each command tests that its unit is still unassigned. The
+# function returns as soon as a command leaves every own unit assigned,
+# since nothing can change after that. State-only guards are memoized in
+# ``ctx.guards``, keyed by a number shared by equal calls; the others are
+# tested where they stand.
 #
 # The source holds no text of the program: every command, guard call,
 # argument and kind set is bound in the function's namespace under a
-# generated name. The lowering emits every command some kind can carry
-# out; an opponent set keys matches and pair reports by the printed
-# behaviour form (:func:`behaviour_form`), which also drops the commands
-# that the enclosing guards leave no kind to carry out, and trailing
-# default statements. A block nested deeper than ``_MAX_INDENT`` levels goes
+# generated name. A block nested deeper than ``_MAX_INDENT`` levels goes
 # into a function of its own, so no program meets Python's limits on
 # nesting.
 
@@ -687,7 +697,7 @@ class _Lowering:
             # a function of its own, which returns where the block would
             # leave its loop or stop; the caller then does the same
             body = self.block(stmts, unit, leaf, False, 1)
-            if not body:
+            if not body:  # an empty branch: no function
                 return []
             name = f"_f{len(self.functions)}"
             self.define(f"{name}(ctx, {unit or 'unit'})", body)
@@ -700,19 +710,13 @@ class _Lowering:
                 lines += self.command(stmt, unit, leaf, local, pad)
             elif cls is ForLoop:
                 lines += self.loop(stmt, indent)
-            elif cls is If:
+            else:
                 lines += self.branch(stmt, unit, leaf, local, indent)
-            elif cls is not Empty:
-                raise TypeError(f"not a statement: {stmt!r}")
         return lines
 
-    def command(self, cmd: Command, unit: str | None, leaf: bool, local: bool,
+    def command(self, cmd: Command, unit: str, leaf: bool, local: bool,
                 pad: str) -> list[str]:
-        if unit is None:
-            return []
         kinds = _carriers(cmd)
-        if not kinds:
-            return []
         tests = [] if leaf else [f"{unit}.uid not in assigned"]
         if kinds != _ALL_KINDS:
             tests.append(f"{unit}.kind in {self.bind(kinds)}")
@@ -752,8 +756,6 @@ class _Lowering:
         unit = f"u{self.loops}"
         leaf = not any(inner.__class__ is ForLoop for inner in walk(stmt))
         body = self.block(stmt.body, unit, leaf, True, indent + 1)
-        if not body:
-            return []
         pad = "    " * indent
         head = [f"{pad}for {unit} in own:"]
         if leaf:
@@ -763,29 +765,18 @@ class _Lowering:
     def branch(self, stmt: If, unit: str | None, leaf: bool, local: bool,
                indent: int) -> list[str]:
         pad = "    " * indent
-        test = self.guard(stmt.cond, unit, pad)
-        if test is None:
-            # never true: only the else branch can act; the then branch is
-            # still lowered, so an unknown name in it is still an error
-            self.block(stmt.then, unit, leaf, local, indent)
-            return self.block(stmt.orelse or (), unit, leaf, local, indent)
-        prelude, condition = test
+        prelude, condition = self.guard(stmt.cond, unit, pad)
         then = self.block(stmt.then, unit, leaf, local, indent + 1)
         orelse = self.block(stmt.orelse or (), unit, leaf, local, indent + 1)
-        if not then and not orelse:
-            return []
         lines = prelude + [f"{pad}if {condition}:", *(then or [f"{pad}    pass"])]
         return lines + [f"{pad}else:", *orelse] if orelse else lines
 
     def guard(self, call: BoolCall, unit: str | None,
-              pad: str) -> tuple[list[str], str] | None:
-        """(lines to run first, condition), or ``None`` for a guard that can
-        never hold here."""
+              pad: str) -> tuple[list[str], str]:
+        """(lines to run first, condition)."""
         name, args = call.name, call.args
         compute = _STATE_GUARDS.get(name)
         if compute is not None:
-            if unit is None and name in _UNIT_GATED:
-                return None
             key = self.guard_keys.setdefault(call, len(self.guard_keys))
             return [
                 f"{pad}held = guards.get({key})",
@@ -797,22 +788,18 @@ class _Lowering:
             return [], f"ctx.attacking >= {self.bind(args[0])}"
         if name == "hasNumberOfWorkersHarvesting":
             return [], f"ctx.harvesting >= {self.bind(args[0])}"
-        if unit is None:
-            return None
-        kinds = _holders(call)
-        if not kinds:
-            return None
-        condition = f"{unit}.kind in {self.bind(kinds)}"
+        condition = f"{unit}.kind in {self.bind(_holders(call))}"
         if name == "canHarvest":
             condition += f" and ({unit}.carried > 0 or bool(nodes))"
         return [], condition
 
 
 def _generate(program: Program) -> tuple[str, dict]:
-    """The source defining ``run(ctx)`` for ``program``, and the namespace
-    it runs in."""
+    """The source defining ``run(ctx)`` for ``program``'s pruned form, and
+    the namespace it runs in."""
     lowering = _Lowering()
-    body = lowering.block(program.body, None, False, False, 1)
+    pruned = tuple(_pruned(program.body, None))
+    body = lowering.block(pruned, None, False, False, 1)
     lowering.define("run(ctx)", body or ["    pass"])
     return "\n\n".join(lowering.functions) + "\n", lowering.namespace
 

@@ -16,7 +16,7 @@ from lintscore import __version__
 from lintscore.cli import main
 from lintscore.microlang import parse, print_program, to_dict
 from lintscore.obfuscate import obfuscate
-from lintscore.pipeline import LineDropProvider, lint_score
+from lintscore.pipeline import HttpProvider, LineDropProvider, lint_score
 from lintscore.resources import data_path
 from test_harness import counted_requests
 
@@ -794,6 +794,26 @@ class TestScoreCmd:
         )
         assert result.exit_code == 2
         assert message in result.output
+
+    @pytest.mark.parametrize("timeout", [0, -5, float("nan")])
+    def test_bad_http_timeout_exits_two_before_any_call(
+        self, runner, tmp_path, monkeypatch, timeout
+    ):
+        calls = []
+        monkeypatch.setattr(HttpProvider, "complete", calls.append)
+        config = tmp_path / "provider.json"
+        config.write_text(
+            json.dumps({"endpoint": "http://127.0.0.1:9/x", "model": "m",
+                        "timeout": timeout})
+        )
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + ["--provider", "http", "--provider-config", str(config)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "timeout must be a finite positive number" in result.output
+        assert calls == []
 
     def test_replay_non_numeric_temperature_exits_two(self, runner, tmp_path):
         config = tmp_path / "provider.json"

@@ -143,6 +143,18 @@ class TestReplayCacheProvider:
         assert ReplayCacheProvider(tmp_path, temperature=0.2).temperature == 0.2
         assert ReplayCacheProvider(tmp_path).temperature is None
 
+    def test_cache_without_inner_provider_scores_a_pool(
+        self, tmp_path, pool8, oset8, bundle
+    ):
+        recorder = CachingProvider(tmp_path, EchoProvider())
+        recorded = lint_score(pool8, oset8, bundle, recorder, k=1)
+        replay = CachingProvider(tmp_path)
+        assert replay.kind == "replay-cache"
+        scores, runs = lint_score(pool8, oset8, bundle, replay, k=1)
+        assert scores == recorded[0]
+        assert [run.error for run in runs] == [None] * len(pool8)
+        assert {run.provenance["provider"] for run in runs} == {"replay-cache"}
+
 
 class _CountingProvider(Provider):
     kind = "mock"
@@ -491,6 +503,16 @@ class TestMakeProvider:
             {"kind": "replay-cache", "directory": str(tmp_path), "temperature": None}
         )
         assert provider.temperature is None
+
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+    def test_bad_http_timeout_rejected(self, timeout):
+        with pytest.raises(ProviderError, match="timeout must be a finite positive"):
+            make_provider(
+                {"kind": "http", "endpoint": "http://127.0.0.1:1/", "model": "m",
+                 "timeout": timeout}
+            )
+        with pytest.raises(ProviderError, match="timeout must be a finite positive"):
+            HttpProvider("http://127.0.0.1:1/", "m", timeout=timeout)
 
     @pytest.mark.parametrize("q", [1.5, -0.1, "often"])
     def test_bad_line_drop_q_rejected(self, q):

@@ -515,8 +515,23 @@ class TestGeneratedFunctions:
                 "for(Unit u){ for(Unit u){ if(u.canHarvest()) then { u.harvest(2) }"
                 " } u.idle() }",
             ),
+            (
+                # a state guard: pruning keeps all 40, so the split is reached
+                "for(Unit u){"
+                + "if(u.hasNumberOfUnits(Worker,1)) then {" * 40
+                + "u.harvest(1) u.attack(Closest)"
+                + "}" * 40
+                + " u.idle() }",
+                "for(Unit u){ if(u.hasNumberOfUnits(Worker,1)) then {"
+                " u.harvest(1) u.attack(Closest) } u.idle() }",
+            ),
         ],
-        ids=["loops", "guards-in-a-loop", "guards-in-an-inner-loop"],
+        ids=[
+            "loops",
+            "guards-in-a-loop",
+            "guards-in-an-inner-loop",
+            "unprunable-guards-in-a-loop",
+        ],
     )
     def test_deep_nesting_equals_shallow(self, deep, shallow):
         state = grid()
