@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from typing import BinaryIO
 
 from ..microlang import Program
-from ..sim import GameState, MatchRecord, resolve_joint, restore_state
+from ..sim import GameState, MatchRecord, SharedParts, resolve_joint, restore_state
 from .opponents import OpponentSet
 
 
@@ -273,19 +273,23 @@ def _opponent(
     """Play the batch against opponent ``index``; the records of the
     programs at positions ``kept`` and each pair's parts there.
 
-    The records of the other programs, and one read-only state per distinct
-    snapshot that the matches and replays restore, serve only this
+    The records of the other programs, one read-only state per distinct
+    snapshot that the matches and replays restore, and the tables that give
+    the new entries one object per distinct part serve only this
     opponent's work and are dropped when it ends.  Meanwhile they keep many
     objects alive, which collections would scan again and again, so the
-    cyclic collector is paused."""
+    cyclic collector is paused, and they are dropped before it resumes."""
     with _paused_collector():
         views: dict[tuple, GameState] = {}
-        records = oset.play(index, programs, views)
+        shared = SharedParts()
+        records = oset.play(index, programs, views, shared)
         parts = [
             _parts(records[a], records[b], other, per_unit, views)
             for a, b, other in jobs
         ]
-    return [records[p] for p in kept], parts
+        kept_records = [records[p] for p in kept]
+        del views, shared, records
+    return kept_records, parts
 
 
 @contextmanager
@@ -348,7 +352,8 @@ def _fork(
     """Fork a child that works ``indices`` and sends one pickled message per
     opponent, ``(None, (packed kept records, parts))``, or
     ``(traceback, None)`` when it fails.  Returns its pid and the read end
-    of its pipe."""
+    of its pipe.  The child ends in ``os._exit``, which frees all it made,
+    so its cyclic collector stays paused for its whole life."""
     # imported where a batch forks, not with the module: it would add a few
     # milliseconds to the start-up of every run
     import pickle
@@ -365,6 +370,7 @@ def _fork(
         return pid, os.fdopen(read, "rb")
     status = 1
     try:
+        gc.disable()
         os.close(read)
         with os.fdopen(write, "wb") as sink:
             try:

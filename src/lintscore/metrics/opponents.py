@@ -12,6 +12,7 @@ from ..resources import ConfigError, read_json, read_text
 from ..sim import (
     GameState,
     MatchRecord,
+    SharedParts,
     behaviour_form,
     play_match,
     state_from_map_dict,
@@ -60,7 +61,12 @@ class OpponentSet:
     only its πs'.  A program that a batch only compares against a π, such
     as a reconstruction or a k-shot sample, has its records followed and
     replayed while its opponent's work lasts; they are then dropped, so
-    memory grows with the πs, not with their samples.
+    memory grows with the πs, not with their samples.  The new entries of
+    one opponent's work share one object per distinct unit tuple, counter
+    tuple and joint assignment (:class:`~lintscore.sim.SharedParts`, made
+    and dropped with that work's ``views``), so a record kept here holds
+    few parts of its own; pickling one opponent's records (:meth:`pack`)
+    writes each shared object once.
 
     Each opponent's matches depend on no other opponent's, so
     :meth:`play` works one opponent at a time and may run in a forked
@@ -119,7 +125,8 @@ class OpponentSet:
         programs = [(self._key_text(program), program)]
         with self.lock:
             results = [
-                self.play(index, programs, {}) for index in range(len(self))
+                self.play(index, programs, {}, SharedParts())
+                for index in range(len(self))
             ]
             self.store(programs, results)
         return [records[0] for records in results]
@@ -129,12 +136,14 @@ class OpponentSet:
         index: int,
         programs: list[tuple[str, Program]],
         views: dict[tuple, GameState],
+        shared: SharedParts,
     ) -> list[MatchRecord]:
         """The record of each (behaviour key, program) against opponent
         ``index``, playing the missing ones in order, each following the
         records played before it; nothing is stored (see :meth:`store`).
         The matches share ``views``, states restored from snapshots of
-        opponent ``index``'s matches (see :func:`play_match`)."""
+        opponent ``index``'s matches, and ``shared``, which gives their new
+        entries one object per distinct part (see :func:`play_match`)."""
         played = list(self._played[index])
         records = []
         for text, program in programs:
@@ -147,6 +156,7 @@ class OpponentSet:
                     max_ticks=self.max_ticks,
                     earlier=played,
                     views=views,
+                    shared=shared,
                 )
                 if all(r is not record for r in played):
                     played.append(record)

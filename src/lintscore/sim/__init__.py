@@ -4,6 +4,7 @@ from .engine import (
     FEATURE_KINDS,
     DecisionEntry,
     MatchRecord,
+    SharedParts,
     play_match,
     snapshot_digest,
     step,
@@ -19,6 +20,7 @@ __all__ = [
     "FEATURE_KINDS",
     "GameState",
     "MatchRecord",
+    "SharedParts",
     "Unit",
     "UnitStats",
     "behaviour_form",

@@ -26,11 +26,18 @@ class MatchCounters:
             self.collected[player],
         )
 
-    def frozen(self) -> tuple[tuple, tuple[int, int], int]:
+    def frozen(
+        self, tuples: dict[tuple, tuple] | None = None
+    ) -> tuple[tuple, tuple[int, int], int]:
         """(spawned, collected, dropped) as a :class:`DecisionEntry` keeps
-        them."""
+        them; ``tuples`` maps tuples to themselves, as in
+        :meth:`~.state.GameState.snapshot`."""
         spawned = tuple(tuple(sorted(kinds.items())) for kinds in self.spawned)
-        return spawned, (self.collected[0], self.collected[1]), self.dropped
+        collected = (self.collected[0], self.collected[1])
+        if tuples is not None:
+            spawned = tuples.setdefault(spawned, spawned)
+            collected = tuples.setdefault(collected, collected)
+        return spawned, collected, self.dropped
 
 
 def step(state: GameState, actions: dict[int, Action], counters: MatchCounters) -> None:
@@ -165,6 +172,33 @@ class DecisionEntry:
         return state, counters
 
 
+class SharedParts:
+    """One object per distinct part of the decision entries made with it.
+
+    ``tuples`` maps each unit tuple and counter tuple to itself.
+    ``joints`` maps a joint assignment's items, with each action's fields
+    and its ``source``, to the first dict stored with them: ``Action``
+    equality ignores ``source``, which :meth:`MatchRecord.to_json` prints.
+    The tables hold every part they have seen, so they serve one piece of
+    work and are dropped with it (see :func:`play_match`)."""
+
+    __slots__ = ("tuples", "joints")
+
+    def __init__(self) -> None:
+        self.tuples: dict[tuple, tuple] = {}
+        self.joints: dict[tuple, dict[int, Action]] = {}
+
+    def joint(self, actions: dict[int, Action]) -> dict[int, Action]:
+        """The stored dict with the same items as ``actions``, or
+        ``actions`` itself, now stored."""
+        key = tuple([
+            (uid, action.op, action.target, action.cell, action.unit_type,
+             action.source)
+            for uid, action in actions.items()
+        ])
+        return self.joints.setdefault(key, actions)
+
+
 @dataclass
 class MatchRecord:
     """Everything observed from one match, from player 0's perspective.
@@ -209,6 +243,7 @@ def play_match(
     *,
     earlier: Sequence[MatchRecord] = (),
     views: dict[tuple, GameState] | None = None,
+    shared: SharedParts | None = None,
 ) -> MatchRecord:
     """Run both policies to elimination, a repeated state, or the tick limit.
 
@@ -230,9 +265,17 @@ def play_match(
     Evaluation only reads these states, so callers share them between
     matches; the match resumes on a fresh state from
     :meth:`DecisionEntry.resume`, never on a view.
+
+    ``shared`` gives the new entries one object per distinct unit tuple,
+    counter tuple and joint assignment among the entries made with it.
+    Callers that pass ``views`` pass one ``shared`` made and dropped with
+    it, so the matches against one opponent share their equal parts, and a
+    pickle of their records writes each once.
     """
     if views is None:
         views = {}
+    if shared is None:
+        shared = SharedParts()
     entries: list[DecisionEntry] = []
     following = list(earlier)
     diverged: dict[int, Action] | None = None
@@ -266,7 +309,7 @@ def play_match(
         if not alive0 or not alive1:
             outcome = (1 if alive0 else 0) - (1 if alive1 else 0)
             break
-        snap = state.snapshot()
+        snap = state.snapshot(shared.tuples)
         if snap in seen:
             fixed_point = True
             break
@@ -277,7 +320,12 @@ def play_match(
             joint0, diverged = diverged, None
         joint1 = resolve_joint(program1, state, 1)
         entries.append(
-            DecisionEntry(snap, joint0, state.next_uid, *counters.frozen())
+            DecisionEntry(
+                snap,
+                shared.joint(joint0),
+                state.next_uid,
+                *counters.frozen(shared.tuples),
+            )
         )
         step(state, {**joint0, **joint1}, counters)
 

@@ -511,26 +511,35 @@ _KIND_GUARDS: dict[str, Callable[[str, UnitStats, tuple], bool]] = {
 }
 
 
+# every kind set that _carriers and _holders have returned, by value: the
+# pruning and each lowered namespace keep these objects, and there are at
+# most as many as there are subsets of the unit kinds
+_KIND_SETS: dict[frozenset[str], frozenset[str]] = {}
+
+
 def _carriers(cmd: Command) -> frozenset[str]:
-    """The unit kinds that can carry out ``cmd`` (see ``_COMMANDS``)."""
+    """The unit kinds that can carry out ``cmd`` (see ``_COMMANDS``); one
+    shared set per value."""
     entry = _COMMANDS.get(cmd.name)
     if entry is None:
         raise ValueError(f"unknown command {cmd.name!r}")
     carries = entry[1]
-    return frozenset(
+    kinds = frozenset(
         kind for kind, stats in DEFAULT_STATS.items() if carries(stats, cmd.args)
     )
+    return _KIND_SETS.setdefault(kinds, kinds)
 
 
 def _holders(call: BoolCall) -> frozenset[str]:
     """The unit kinds for which the kind guard ``call`` can hold (see
-    ``_KIND_GUARDS``)."""
+    ``_KIND_GUARDS``); one shared set per value."""
     holds = _KIND_GUARDS.get(call.name)
     if holds is None:
         raise ValueError(f"unknown guard {call.name!r}")
-    return frozenset(
+    kinds = frozenset(
         kind for kind, stats in DEFAULT_STATS.items() if holds(kind, stats, call.args)
     )
+    return _KIND_SETS.setdefault(kinds, kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -160,15 +160,20 @@ class GameState:
 
     # -- snapshots ----------------------------------------------------------
 
-    def snapshot(self) -> tuple:
-        """Hashable description of the full state."""
+    def snapshot(self, tuples: dict[tuple, tuple] | None = None) -> tuple:
+        """Hashable description of the full state.
+
+        ``tuples`` maps tuples to themselves: a unit tuple equal to one in
+        it is that object, and a new one is added, so the snapshots made
+        with one table share their equal unit tuples."""
+        units = [unit.as_tuple() for unit in self.units.values()]
         return (
             self.width,
             self.height,
             self.seed,
             self.player_resources[0],
             self.player_resources[1],
-            tuple(unit.as_tuple() for unit in self.units.values()),
+            tuple(units if tuples is None else map(tuples.setdefault, units, units)),
         )
 
     def clone(self) -> "GameState":
