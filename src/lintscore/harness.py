@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import statistics
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import UnionType
@@ -218,6 +217,10 @@ def _confidence(values: list[float]) -> Cell:
     mean = sum(values) / len(values)
     if len(values) < 2:
         return Cell(mean, 0.0)
+    # imported here: statistics loads decimal and fractions, which no other
+    # path of a run needs
+    import statistics
+
     stderr = statistics.stdev(values) / math.sqrt(len(values))
     return Cell(mean, 1.96 * stderr)
 

@@ -25,7 +25,10 @@ from dataclasses import asdict, dataclass
 from typing import BinaryIO
 
 from ..microlang import Program
-from ..sim import GameState, MatchRecord, SharedParts, resolve_joint, restore_state
+from ..sim import MatchRecord, SharedParts, resolve_joint
+# bound here, though replays evaluate on views, for tools that wrap this
+# module's names from outside (the benchmark's per-layer tracer)
+from ..sim import restore_state  # noqa: F401
 from .opponents import OpponentSet
 
 
@@ -58,7 +61,7 @@ def _agreements(
     theirs: MatchRecord,
     other: Program,
     per_unit: bool,
-    views: dict[tuple, GameState],
+    shared: SharedParts,
 ) -> list[float]:
     """Per decision state of ``mine``, in order, how far ``other`` issues
     the same resolved joint assignment there (``per_unit`` grades each unit
@@ -67,19 +70,16 @@ def _agreements(
     ``other`` is only replayed on states that ``theirs`` never visited:
     where it did, its recorded assignment is the replay, because evaluation
     is a pure function of the snapshot.  Snapshots carry the opponent's
-    seed, so no other opponent's match visits them, and a replay reads the
-    state ``views`` holds for its snapshot, restoring and adding it when it
-    is missing.
+    seed, so no other opponent's match visits them, and a replay evaluates
+    on the read-only view that ``shared`` holds for its snapshot
+    (:meth:`~lintscore.sim.SharedParts.view`), made when it is missing.
     """
     recorded = decision_states([theirs])
     values = []
     for snapshot, assigned in decision_states([mine]).items():
         replayed = recorded.get(snapshot)
         if replayed is None:
-            state = views.get(snapshot)
-            if state is None:
-                state = views[snapshot] = restore_state(snapshot)
-            replayed = resolve_joint(other, state, 0)
+            replayed = resolve_joint(other, shared.view(snapshot), 0)
         if not per_unit:
             values.append(1.0 if assigned == replayed else 0.0)
             continue
@@ -115,11 +115,11 @@ def _parts(
     theirs: MatchRecord,
     other: Program,
     per_unit: bool,
-    views: dict[tuple, GameState],
+    shared: SharedParts,
 ) -> tuple[list[float], bool, float]:
     """One opponent's share of all three measures."""
     return (
-        _agreements(mine, theirs, other, per_unit, views),
+        _agreements(mine, theirs, other, per_unit, shared),
         mine.outcome == theirs.outcome,
         feature_distance(mine.features[0], theirs.features[0]),
     )
@@ -134,7 +134,7 @@ def action_metric(
     A policy visiting no decision states has nothing to disagree on: 1.0.
     """
     return _action(
-        _agreements(mine, theirs, other, per_unit, {})
+        _agreements(mine, theirs, other, per_unit, SharedParts())
         for mine, theirs in zip(oset.matches(pi), oset.matches(other))
     )
 
@@ -273,22 +273,21 @@ def _opponent(
     """Play the batch against opponent ``index``; the records of the
     programs at positions ``kept`` and each pair's parts there.
 
-    The records of the other programs, one read-only state per distinct
-    snapshot that the matches and replays restore, and the tables that give
-    the new entries one object per distinct part serve only this
+    The records of the other programs and the tables that give the new
+    entries one object per distinct part, and the matches and replays one
+    read-only view per distinct snapshot they evaluate on, serve only this
     opponent's work and are dropped when it ends.  Meanwhile they keep many
     objects alive, which collections would scan again and again, so the
     cyclic collector is paused, and they are dropped before it resumes."""
     with _paused_collector():
-        views: dict[tuple, GameState] = {}
         shared = SharedParts()
-        records = oset.play(index, programs, views, shared)
+        records = oset.play(index, programs, shared)
         parts = [
-            _parts(records[a], records[b], other, per_unit, views)
+            _parts(records[a], records[b], other, per_unit, shared)
             for a, b, other in jobs
         ]
         kept_records = [records[p] for p in kept]
-        del views, shared, records
+        del shared, records
     return kept_records, parts
 
 

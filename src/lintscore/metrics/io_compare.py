@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +33,8 @@ def _run(command: list[str], input_text: str, timeout: float) -> tuple[str, str 
     """The command's stdout on ``input_text``, and why it failed or None.
     Bytes that are not UTF-8 decode to lone surrogates, so distinct outputs
     stay distinct whatever the locale."""
+    import subprocess  # only the io metric runs commands
+
     try:
         proc = subprocess.run(
             command,

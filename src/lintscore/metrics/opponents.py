@@ -64,9 +64,9 @@ class OpponentSet:
     memory grows with the πs, not with their samples.  The new entries of
     one opponent's work share one object per distinct unit tuple, counter
     tuple and joint assignment (:class:`~lintscore.sim.SharedParts`, made
-    and dropped with that work's ``views``), so a record kept here holds
-    few parts of its own; pickling one opponent's records (:meth:`pack`)
-    writes each shared object once.
+    and dropped with that work, which also holds its read-only views), so
+    a record kept here holds few parts of its own; pickling one opponent's
+    records (:meth:`pack`) writes each shared object once.
 
     Each opponent's matches depend on no other opponent's, so
     :meth:`play` works one opponent at a time and may run in a forked
@@ -125,7 +125,7 @@ class OpponentSet:
         programs = [(self._key_text(program), program)]
         with self.lock:
             results = [
-                self.play(index, programs, {}, SharedParts())
+                self.play(index, programs, SharedParts())
                 for index in range(len(self))
             ]
             self.store(programs, results)
@@ -135,15 +135,16 @@ class OpponentSet:
         self,
         index: int,
         programs: list[tuple[str, Program]],
-        views: dict[tuple, GameState],
         shared: SharedParts,
     ) -> list[MatchRecord]:
         """The record of each (behaviour key, program) against opponent
         ``index``, playing the missing ones in order, each following the
         records played before it; nothing is stored (see :meth:`store`).
-        The matches share ``views``, states restored from snapshots of
-        opponent ``index``'s matches, and ``shared``, which gives their new
-        entries one object per distinct part (see :func:`play_match`)."""
+        The matches share ``shared``, which gives their new entries one
+        object per distinct part and holds the read-only views of the
+        followed snapshots of opponent ``index``'s matches (see
+        :func:`play_match`); the caller may evaluate on those views too,
+        and drops ``shared`` with its work on this opponent."""
         played = list(self._played[index])
         records = []
         for text, program in programs:
@@ -155,7 +156,6 @@ class OpponentSet:
                     self.initial_state(index),
                     max_ticks=self.max_ticks,
                     earlier=played,
-                    views=views,
                     shared=shared,
                 )
                 if all(r is not record for r in played):

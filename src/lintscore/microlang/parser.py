@@ -15,6 +15,7 @@ this syntax, and ``parse(print_program(p)) == p`` for every valid program.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .ast import (
@@ -74,6 +75,7 @@ _TOKEN = re.compile(
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
+    intern = sys.intern
     line, start = 1, 0  # start: the index where the current line begins
     match = None
     for match in _TOKEN.finditer(source):
@@ -88,8 +90,11 @@ def _tokenize(source: str) -> list[Token]:
         text = match.group()
         if kind == "punct":
             kind = text
-        elif kind != "number" and not (text[0].isalpha() or text[0] == "_"):
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind != "number":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+            # the trees of every parse share one string per distinct name
+            text = intern(text)
         append(Token(kind, text, line, col))
     # the end of input stands after the last character, or at the start of a
     # comment that ends the source

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,6 +205,8 @@ def _read_manifest(directory: Path) -> dict:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    import tempfile  # only a caching provider writes files
+
     handle = tempfile.NamedTemporaryFile(
         "w", encoding="utf-8", dir=path.parent, delete=False, suffix=".tmp"
     )

@@ -8,9 +8,7 @@ fail contributes the worst possible values rather than aborting the batch.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 
 from ..metrics.behavior import compare
 from ..metrics.opponents import OpponentSet
@@ -393,7 +391,10 @@ def draw_runs(
         )
 
     if workers > 1 and provider.kind == "http":
-        # shut down before a batch forks
+        # imported only where a run starts threads; shut down before a
+        # batch forks
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             drawn = list(pool.map(draw, programs))
     else:
@@ -487,4 +488,6 @@ def kshot_baseline(trials: list[Trial]) -> Trial:
 
 
 def _now() -> str:
+    from datetime import datetime, timezone  # only http runs record times
+
     return datetime.now(timezone.utc).isoformat()

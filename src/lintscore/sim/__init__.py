@@ -10,7 +10,7 @@ from .engine import (
     step,
 )
 from .evaluator import behaviour_form, distances, evaluate_policy, resolve_joint
-from .state import GameState, Unit, restore_state, state_from_map_dict
+from .state import GameState, StateView, Unit, restore_state, state_from_map_dict
 from .units import DEFAULT_STATS, UnitStats
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "GameState",
     "MatchRecord",
     "SharedParts",
+    "StateView",
     "Unit",
     "UnitStats",
     "behaviour_form",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from ..microlang.ast import Program
 from .actions import ATTACK, DEPOSIT, HARVEST, MOVE, SPAWN, Action
 from .evaluator import distances, resolve_joint
-from .state import GameState, restore_state
+from .state import Cell, GameState, StateView, Unit, restore_state
 from .units import BARRACKS, BASE, DEFAULT_STATS, HEAVY, LIGHT, RANGED, WORKER
 
 FEATURE_KINDS = (WORKER, LIGHT, HEAVY, RANGED, BASE, BARRACKS)
@@ -173,20 +173,35 @@ class DecisionEntry:
 
 
 class SharedParts:
-    """One object per distinct part of the decision entries made with it.
+    """One object per distinct part of the decision entries and read-only
+    states made with it.
 
     ``tuples`` maps each unit tuple and counter tuple to itself.
     ``joints`` maps a joint assignment's items, with each action's fields
     and its ``source``, to the first dict stored with them: ``Action``
     equality ignores ``source``, which :meth:`MatchRecord.to_json` prints.
+    ``views`` maps each snapshot that :meth:`view` was asked for to its
+    :class:`~.state.StateView`; the views share one :class:`~.state.Unit`
+    per distinct unit tuple (``units``) and one tuple per cell (``cells``).
     The tables hold every part they have seen, so they serve one piece of
-    work and are dropped with it (see :func:`play_match`)."""
+    work, such as the matches and replays against one opponent, and are
+    dropped with it (see :func:`play_match`)."""
 
-    __slots__ = ("tuples", "joints")
+    __slots__ = ("tuples", "joints", "views", "units", "cells")
 
     def __init__(self) -> None:
         self.tuples: dict[tuple, tuple] = {}
         self.joints: dict[tuple, dict[int, Action]] = {}
+        self.views: dict[tuple, StateView] = {}
+        self.units: dict[tuple, Unit] = {}
+        self.cells: dict[Cell, Cell] = {}
+
+    def view(self, snapshot: tuple) -> StateView:
+        """The read-only state of ``snapshot``, made on the first request."""
+        view = self.views.get(snapshot)
+        if view is None:
+            view = self.views[snapshot] = StateView(snapshot, self.units, self.cells)
+        return view
 
     def joint(self, actions: dict[int, Action]) -> dict[int, Action]:
         """The stored dict with the same items as ``actions``, or
@@ -242,7 +257,6 @@ def play_match(
     max_ticks: int = 2000,
     *,
     earlier: Sequence[MatchRecord] = (),
-    views: dict[tuple, GameState] | None = None,
     shared: SharedParts | None = None,
 ) -> MatchRecord:
     """Run both policies to elimination, a repeated state, or the tick limit.
@@ -260,20 +274,15 @@ def play_match(
     repeats a record to its end returns that record; one that departs from
     it shares the common prefix's entries and is simulated from there on.
 
-    ``views`` maps snapshots to states restored from them: a followed
-    snapshot is restored only when it is missing, and its state is added.
-    Evaluation only reads these states, so callers share them between
-    matches; the match resumes on a fresh state from
-    :meth:`DecisionEntry.resume`, never on a view.
-
     ``shared`` gives the new entries one object per distinct unit tuple,
-    counter tuple and joint assignment among the entries made with it.
-    Callers that pass ``views`` pass one ``shared`` made and dropped with
-    it, so the matches against one opponent share their equal parts, and a
-    pickle of their records writes each once.
+    counter tuple and joint assignment among the entries made with it, and
+    player 0 evaluates a followed snapshot on its read-only view there
+    (:meth:`SharedParts.view`), made only when it is missing.  Callers pass
+    one ``shared`` to the matches against one opponent, and drop it with
+    that work: the matches share their views and equal parts, and a pickle
+    of their records writes each part once.  The match resumes on a fresh
+    state from :meth:`DecisionEntry.resume`, never on a view.
     """
-    if views is None:
-        views = {}
     if shared is None:
         shared = SharedParts()
     entries: list[DecisionEntry] = []
@@ -285,10 +294,7 @@ def play_match(
         if index == len(record.entries):
             return record
         entry = record.entries[index]
-        state = views.get(entry.snapshot)
-        if state is None:
-            state = views[entry.snapshot] = restore_state(entry.snapshot)
-        joint0 = resolve_joint(program0, state, 0)
+        joint0 = resolve_joint(program0, shared.view(entry.snapshot), 0)
         following = [r for r in following if r.entries[index].actions == joint0]
         if following:
             entries.append(following[0].entries[index])

@@ -25,8 +25,9 @@ Evaluation reads the units through the state's :class:`~.state.Sides` split
 (each side's units and kind counts, the live resource nodes), built once
 per set of units and shared by both players. Its lists ascend by id because
 ``GameState.units`` does, so nothing here sorts. Evaluation never changes
-the state or its split, so every evaluation on one snapshot may share one
-restored state (see :func:`~.engine.play_match`).
+the state or its split, so every evaluation on one recorded snapshot may
+share one read-only :class:`~.state.StateView` of it (see
+:meth:`~.engine.SharedParts.view`).
 
 Distances and the cells one move away are read from the tables of the map's
 size (:func:`distances`), built the first time a run meets that size.
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import sys
 import weakref
 from types import CodeType
 from typing import Callable
@@ -70,7 +72,7 @@ from .actions import (
     STAND,
     Action,
 )
-from .state import Cell, GameState, Unit
+from .state import Cell, GameState, StateView, Unit
 from .units import BASE, DEFAULT_STATS, UnitStats
 
 # direction -> grid delta; y grows downward
@@ -179,7 +181,7 @@ _STANDS = {
 class _Context:
     """Per-evaluation scratch state and caches."""
 
-    def __init__(self, state: GameState, player: int):
+    def __init__(self, state: GameState | StateView, player: int):
         self.state = state
         self.width, self.height = state.width, state.height
         tables = distances(state.width, state.height)
@@ -678,7 +680,9 @@ class _Lowering:
         self.loops = 0
 
     def bind(self, value: object) -> str:
-        name = f"_{len(self.namespace)}"
+        # interned, as the compiled code's names are: every lowered program
+        # shares one string per binding index
+        name = sys.intern(f"_{len(self.namespace)}")
         self.namespace[name] = value
         return name
 
@@ -844,14 +848,16 @@ def _generated(program: Program) -> _Run:
     return run
 
 
-def _run(program: Program, state: GameState, player: int) -> _Context:
+def _run(
+    program: Program, state: GameState | StateView, player: int
+) -> _Context:
     ctx = _Context(state, player)
     _generated(program)(ctx)
     return ctx
 
 
 def evaluate_policy(
-    program: Program, state: GameState, player: int
+    program: Program, state: GameState | StateView, player: int
 ) -> dict[int, Action]:
     """Assignments for one decision point; units absent from the map are idle.
 
@@ -862,7 +868,7 @@ def evaluate_policy(
 
 
 def resolve_joint(
-    program: Program, state: GameState, player: int
+    program: Program, state: GameState | StateView, player: int
 ) -> dict[int, Action]:
     """Like :func:`evaluate_policy` but with idle resolution filled in for
     unassigned units, so two joint maps compare positionally."""

@@ -191,11 +191,60 @@ class GameState:
         return other
 
 
+class StateView:
+    """A read-only state made from a :meth:`GameState.snapshot`: what
+    policy evaluation reads, the size, seed, both players' resources, the
+    occupancy map and the :class:`Sides` split.
+
+    Its units come from ``units``, a table from unit tuples to units, and
+    its occupancy keys from ``cells``, a table from cells to themselves, so
+    the views made with the same tables share one :class:`Unit` per
+    distinct unit tuple and one tuple per cell.  Nothing may change them:
+    a match resumes on a state of its own (see
+    :meth:`~.engine.DecisionEntry.resume`).  :attr:`units` is built on each
+    read, so ``GameState.snapshot(view)`` is the snapshot it was made from.
+    """
+
+    __slots__ = ("width", "height", "seed", "occupancy", "_sides", "_snapshot")
+
+    def __init__(
+        self,
+        snapshot: tuple,
+        units: dict[tuple, Unit],
+        cells: dict[Cell, Cell],
+    ):
+        self.width, self.height, self.seed = snapshot[:3]
+        self._snapshot = snapshot
+        members = []
+        self.occupancy: dict[Cell, int] = {}
+        for fields in snapshot[5]:
+            unit = units.get(fields)
+            if unit is None:
+                unit = units[fields] = Unit(*fields)
+            members.append(unit)
+            cell = (unit.x, unit.y)
+            self.occupancy[cells.setdefault(cell, cell)] = unit.uid
+        self._sides = Sides(members)
+
+    @property
+    def player_resources(self) -> tuple[int, int]:
+        return self._snapshot[3:5]
+
+    @property
+    def units(self) -> dict[int, Unit]:
+        """The units by id, in id order: new objects, shared with nothing."""
+        return {fields[0]: Unit(*fields) for fields in self._snapshot[5]}
+
+    def sides(self) -> Sides:
+        return self._sides
+
+
 def restore_state(snapshot: tuple) -> GameState:
     """Rebuild a state from :meth:`GameState.snapshot` output.
 
-    Restored states are meant for policy re-evaluation, so their split is
-    built here; the unit-id counter restarts above the highest live id.
+    The state and its units are new objects, shared with no
+    :class:`StateView`, so a match can resume on it; its split is built
+    here, and the unit-id counter restarts above the highest live id.
     """
     width, height, seed, res0, res1, unit_tuples = snapshot
     state = GameState(width, height, seed, (res0, res1))

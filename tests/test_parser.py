@@ -91,6 +91,28 @@ class TestParse:
         program = parse("u.attack_if_in_range()")
         assert program.body[0] == Command("attack_if_in_range", ())
 
+    def test_parses_share_name_strings(self):
+        """Two parses of one source hold one string object per name."""
+
+        def names(program):
+            for node in walk(program):
+                calls = [node] if isinstance(node, Command) else []
+                if isinstance(node, If):
+                    calls.append(node.cond)
+                for call in calls:
+                    yield call.name
+                    yield from (arg for arg in call.args if isinstance(arg, str))
+
+        path = data_path("policies", "examples", "tiered_rush.mrl")
+        # two reads, so the sources share no string
+        first, second = (parse(path.read_text(encoding="utf-8")) for _ in range(2))
+        pairs = list(zip(names(first), names(second), strict=True))
+        assert len(pairs) > 10
+        assert all(a is b for a, b in pairs)
+        # and one object per distinct name within a parse
+        distinct = {}
+        assert all(distinct.setdefault(a, a) is a for a, _ in pairs)
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(

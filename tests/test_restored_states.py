@@ -1,11 +1,13 @@
-"""The restored states that one batch of ``compare`` shares, per opponent.
+"""The read-only states that one batch of ``compare`` shares, per opponent.
 
-Following a record and replaying a policy both evaluate on states restored
-from recorded snapshots.  ``behavior._opponent`` keeps one read-only state
-per distinct snapshot for the matches and replays against one opponent, so
-each snapshot is restored once there; a match that departs from a record
-resumes on a fresh state of its own.  ``behavior._cpu_count`` is patched to
-one CPU, so the whole batch runs in this process where it can be counted.
+Following a record and replaying a policy both evaluate on read-only views
+of recorded snapshots (``StateView``).  ``behavior._opponent`` makes one
+``SharedParts`` for the matches and replays against one opponent, which
+holds one view per distinct snapshot there; its views share one ``Unit``
+per distinct unit tuple and one tuple per cell.  A match that departs from
+a record resumes on a fresh state of its own, and ``restore_state`` makes
+only those.  ``behavior._cpu_count`` is patched to one CPU, so the whole
+batch runs in this process where it can be counted.
 """
 import random
 import weakref
@@ -14,7 +16,14 @@ from collections import Counter
 from lintscore.metrics import OpponentSet, behavior, compare
 from lintscore.microlang import parse, print_program
 from lintscore.resources import data_path
-from lintscore.sim import DecisionEntry, engine, play_match
+from lintscore.sim import (
+    DecisionEntry,
+    GameState,
+    SharedParts,
+    StateView,
+    engine,
+    play_match,
+)
 
 
 def fresh_set():
@@ -42,24 +51,28 @@ def batch(pool8):
     ]
 
 
-def record_restores(monkeypatch):
-    """Patch every ``restore_state`` that matches and replays call. Returns
-    the snapshots restored outside ``DecisionEntry.resume``, the number of
-    resumes, and a weak reference to every restored state."""
-    shared: Counter = Counter()
-    resumes = [0]
-    states = []
+class _Recorded(StateView):
+    __slots__ = ("__weakref__",)
+
+
+def record_states(monkeypatch):
+    """Record every view that matches and replays make, and count the
+    states that ``restore_state`` makes inside and outside
+    ``DecisionEntry.resume``.  Returns (snapshot, weak reference to its
+    view) per view and the counts (inside, outside)."""
+    views = []
+    restores = Counter()
     resuming = []
+
+    def view(snapshot, units, cells):
+        made = _Recorded(snapshot, units, cells)
+        views.append((snapshot, weakref.ref(made)))
+        return made
 
     def recording(original):
         def restore(snapshot):
-            state = original(snapshot)
-            states.append(weakref.ref(state))
-            if resuming:
-                resumes[0] += 1
-            else:
-                shared[snapshot] += 1
-            return state
+            restores["inside" if resuming else "outside"] += 1
+            return original(snapshot)
 
         return restore
 
@@ -73,43 +86,100 @@ def record_restores(monkeypatch):
             resuming.pop()
 
     monkeypatch.setattr(behavior, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(engine, "StateView", view)
     monkeypatch.setattr(engine, "restore_state", recording(engine.restore_state))
     monkeypatch.setattr(behavior, "restore_state", recording(behavior.restore_state))
     monkeypatch.setattr(DecisionEntry, "resume", resume_fresh)
-    return shared, resumes, states
+    return views, restores
+
+
+def held(view):
+    """The unit tuples of a view's split, and its occupancy."""
+    sides = view.sides()
+    units = sorted(
+        unit.as_tuple() for unit in [*sides.units[0], *sides.units[1], *sides.nodes]
+    )
+    return units, dict(view.occupancy)
+
+
+def expected(snapshot):
+    """What :func:`held` returns for a view of ``snapshot``."""
+    units = sorted(
+        fields
+        for fields in snapshot[5]
+        if fields[2] is not None or (fields[1] == "Resource" and fields[7] > 0)
+    )
+    return units, {(fields[3], fields[4]): fields[0] for fields in snapshot[5]}
 
 
 def test_each_snapshot_restored_once_per_batch(monkeypatch, pool8):
-    shared, resumes, states = record_restores(monkeypatch)
+    views, restores = record_states(monkeypatch)
     oset = fresh_set()
     compare(batch(pool8), oset)
-    assert resumes[0] > 0 and shared
-    assert max(shared.values()) == 1
-    assert len(states) == len(shared) + resumes[0]
+    made = Counter(snapshot for snapshot, _ in views)
+    assert restores["inside"] > 0 and made
+    assert max(made.values()) == 1
+    # restore_state makes the states that matches resume on, and no other
+    assert restores["outside"] == 0
     # a later batch shares nothing with this one
-    shared.clear()
+    views.clear()
     pi = pool8[0][1]
     compare([(pi, drop_lines(pi, 99, q=0.5))], oset)
-    assert max(shared.values()) == 1
+    assert max(Counter(snapshot for snapshot, _ in views).values()) == 1
 
 
 def test_no_restored_state_outlives_compare(monkeypatch, pool8):
-    _, _, states = record_restores(monkeypatch)
+    views, _ = record_states(monkeypatch)
     compare(batch(pool8), fresh_set())
-    assert states
-    assert all(ref() is None for ref in states)
+    assert views
+    assert all(ref() is None for _, ref in views)
+
+
+def test_views_share_one_unit_per_unit_tuple(monkeypatch, pool8):
+    """Within one opponent's work, equal unit tuples are one ``Unit`` and
+    equal cells one tuple, across all its views; each view holds what its
+    snapshot says."""
+    monkeypatch.setattr(behavior, "_cpu_count", lambda: 1)
+    kept = []
+    view = engine.StateView
+
+    def keeping(snapshot, units, cells):
+        kept.append(view(snapshot, units, cells))
+        return kept[-1]
+
+    monkeypatch.setattr(engine, "StateView", keeping)
+    compare(batch(pool8), fresh_set())
+    # a snapshot's seed is its opponent's
+    by_opponent: dict[int, list] = {}
+    for made in kept:
+        by_opponent.setdefault(made.seed, []).append(made)
+    assert len(by_opponent) > 1
+    units, distinct = 0, 0
+    for views in by_opponent.values():
+        first_unit, first_cell = {}, {}
+        for made in views:
+            assert held(made) == expected(GameState.snapshot(made))
+            sides = made.sides()
+            for unit in [*sides.units[0], *sides.units[1], *sides.nodes]:
+                assert first_unit.setdefault(unit.as_tuple(), unit) is unit
+                units += 1
+            for cell in made.occupancy:
+                assert first_cell.setdefault(cell, cell) is cell
+        distinct += len(first_unit)
+    assert units > 2 * distinct
 
 
 def test_resumed_states_are_not_views(pool8):
-    """Matches that follow and depart from one record share ``views``; each
-    view still equals its snapshot after the matches, and after mutating
-    the state its entry resumes on."""
+    """Matches that follow and depart from one record share one
+    ``SharedParts``; each view holds its snapshot after the matches, the
+    state an entry resumes on shares no object with any view, and changing
+    that state leaves every view as it was."""
     oset = fresh_set()
     initial = oset.initial_state(0)
     opponent = oset.opponents[0].program
-    views = {}
+    shared = SharedParts()
     pi = pool8[0][1]
-    first = play_match(pi, opponent, initial, oset.max_ticks, views=views)
+    first = play_match(pi, opponent, initial, oset.max_ticks, shared=shared)
     played = [first]
     for seed in range(4):
         record = play_match(
@@ -118,20 +188,39 @@ def test_resumed_states_are_not_views(pool8):
             initial,
             oset.max_ticks,
             earlier=played,
-            views=views,
+            shared=shared,
         )
         if record is not first:
             played.append(record)
+    views = shared.views
     assert len(played) > 1 and views
     for snapshot, view in views.items():
-        assert view.snapshot() == snapshot
+        assert GameState.snapshot(view) == snapshot
+        assert held(view) == expected(snapshot)
+    viewed = set()
+    for view in views.values():
+        sides = view.sides()
+        viewed.update(map(id, [view.occupancy, *view.occupancy, sides.nodes]))
+        viewed.update(map(id, sides.nodes))
+        for side in (0, 1):
+            viewed.update(map(id, [sides.units[side], sides.counts[side]]))
+            viewed.update(map(id, sides.units[side]))
+    resumed = 0
     for entry in first.entries:
-        view = views.get(entry.snapshot)
-        if view is None:
+        if entry.snapshot not in views:
             continue
         state, _ = entry.resume()
-        assert state is not view
-        uid = next(iter(state.units))
-        state.remove_unit(uid)
+        sides = state.sides()
+        mine = [state.units, state.occupancy, *state.units.values(), *state.occupancy]
+        mine += [*sides.units, *sides.counts, sides.nodes]
+        assert not viewed & set(map(id, mine))
+        unit = next(iter(state.units.values()))
+        unit.hp -= 1
+        unit.carried += 1
+        state.remove_unit(unit.uid)
         state.player_resources[0] += 5
-        assert view.snapshot() == entry.snapshot
+        resumed += 1
+    assert resumed
+    for snapshot, view in views.items():
+        assert held(view) == expected(snapshot)
+        assert view.player_resources == snapshot[3:5]
