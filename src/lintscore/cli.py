@@ -8,7 +8,6 @@ usage errors.
 from __future__ import annotations
 
 import json
-import shlex
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -28,12 +27,6 @@ from .harness import (
     write_summary,
 )
 from .metrics.behavior import compare
-from .metrics.io_compare import (
-    ExecFailure,
-    generate_suite,
-    io_metric,
-    load_suite,
-)
 from .microlang import ParseError, parse, print_program, to_dict
 from .obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
 from .pipeline import ProviderError
@@ -43,15 +36,14 @@ from .sim import GameState, play_match, state_from_map_dict
 
 class _Lint(click.Group):
     """The one place that turns errors into exit codes: an input that cannot
-    be used exits 2; a program set that does not parse, or a reference
-    command that fails, exits 1."""
+    be used exits 2; a program set that does not parse exits 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (ConfigError, ProviderError) as exc:
             raise click.UsageError(str(exc)) from exc
-        except (ParseError, ExecFailure) as exc:
+        except ParseError as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -138,7 +130,8 @@ def parse_cmd(source, ast_json):
 @click.option("--map", "map_spec", default="BaseWorkers-16x16A", show_default=True,
               help="Bundled map name or a map JSON path.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-ticks", type=int, default=400, show_default=True)
+@click.option("--max-ticks", type=click.IntRange(min=1), default=400,
+              show_default=True)
 @click.option("--record", "record_path", type=click.Path(), default=None,
               help="Write the full match record JSON here.")
 def simulate_cmd(p0_path, p1_path, map_spec, seed, max_ticks, record_path):
@@ -174,44 +167,6 @@ def metric_cmd(pi_path, other_path, opponents, per_unit):
     oset = load_opponent_set(opponents)
     report = compare([(pi, other)], oset, per_unit)[0]
     _echo_json(report.as_dict())
-
-
-def _command_line(ctx, param, value: str) -> list[str]:
-    """The arguments of a command line, split as a POSIX shell splits them;
-    an empty line or an unbalanced quote exits 2, naming the option."""
-    try:
-        argv = shlex.split(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
-    if not argv:
-        raise click.BadParameter("the command line is empty")
-    return argv
-
-
-@main.command("io-metric")
-@click.option("--reference", required=True, callback=_command_line,
-              help="Reference command line.")
-@click.option("--candidate", required=True, callback=_command_line,
-              help="Candidate command line.")
-@click.option("--suite", "suite_dir", type=click.Path(), default=None,
-              help="Directory of input files (one per case).")
-@click.option("--count", type=int, default=20, show_default=True,
-              help="Generated-suite size when --suite is not given.")
-@click.option("--suite-seed", type=int, default=0, show_default=True)
-@click.option("--values-per-line", type=int, default=1, show_default=True)
-@click.option("--timeout", type=float, default=10.0, show_default=True)
-def io_metric_cmd(reference, candidate, suite_dir, count, suite_seed,
-                  values_per_line, timeout):
-    """Fraction of inputs where two executables print the same output."""
-    if suite_dir:
-        try:
-            inputs = load_suite(suite_dir)
-        except FileNotFoundError as exc:  # a directory without input files
-            raise click.UsageError(str(exc)) from exc
-    else:
-        inputs = generate_suite(suite_seed, count, values_per_line)
-    report = io_metric(reference, candidate, inputs, timeout=timeout)
-    _echo_json(asdict(report))
 
 
 @main.command("obfuscate")

@@ -392,7 +392,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     provider, then ``pool_other`` when ``rand-other`` is on and the map
     description (:func:`resolve_map_description`) when ``kshot`` is on, and
     makes the ``out`` directory, so a bad config raises :class:`ConfigError`
-    before any provider call.  Then the run has the three phases of
+    before any provider call; so does a same-pool baseline (Rand,
+    Closest-Syntax, Closest-Feature) on a program set of one program, which
+    has no other program to pick.  Then the run has the three phases of
     :func:`~.pipeline.lint_score`.  First
     every provider call, in row order (each LINT row's draws, then the
     k-shot samples), and the Rand, Rand-Other and Closest-Syntax picks.
@@ -410,6 +412,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     bundle = load_bundle(cfg.track)
     provider = make_provider(cfg.provider)
     baselines = [key for key in BASELINE_KEYS if key in cfg.baselines]
+    if len(programs) == 1:
+        # a same-pool baseline picks another program of the set
+        for key in ("rand", "closest-syntax", "closest-feature"):
+            if key in baselines:
+                raise ConfigError(
+                    f"baseline {key} needs a program set of two or more programs; "
+                    f"{cfg.programs!r} has one"
+                )
     pool_other = None
     if "rand-other" in baselines:
         pool_other = load_program_set(cfg.pool_other)

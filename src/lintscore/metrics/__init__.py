@@ -1,4 +1,4 @@
-"""Behavior-similarity metrics, baselines, and black-box I/O comparison."""
+"""Behavior-similarity metrics and baselines."""
 from .baselines import (
     closest_feature,
     closest_syntax,
@@ -16,20 +16,10 @@ from .behavior import (
     mean_feature_vector,
     outcome_metric,
 )
-from .io_compare import (
-    ExecFailure,
-    IoReport,
-    generate_suite,
-    io_metric,
-    load_suite,
-    normalize_output,
-)
 from .opponents import Opponent, OpponentSet
 
 __all__ = [
     "BehaviorReport",
-    "ExecFailure",
-    "IoReport",
     "Opponent",
     "OpponentSet",
     "ShardError",
@@ -40,11 +30,7 @@ __all__ = [
     "decision_states",
     "feature_distance",
     "feature_metric",
-    "generate_suite",
-    "io_metric",
-    "load_suite",
     "mean_feature_vector",
-    "normalize_output",
     "outcome_metric",
     "rand_index",
     "select_policy_indices",

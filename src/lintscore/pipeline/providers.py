@@ -117,10 +117,16 @@ class HttpProvider(Provider):
                 f"provider returned HTTP {response.status_code}: {response.text[:200]}"
             )
         try:
-            data = response.json()
-            return data["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
+        # chat APIs send a null content for refusals and tool calls
+        if not isinstance(content, str):
+            raise ProviderError(
+                "malformed provider response: "
+                f"content {content!r:.200} is not a string"
+            )
+        return content
 
 
 class CachingProvider(Provider):

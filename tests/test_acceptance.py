@@ -1,16 +1,14 @@
 """Acceptance gate: one test per release criterion, in order.
 
 These checks are heavier than the per-module suites — full pool sweeps over
-both gauntlets, end-to-end mock pipelines, a compiled-binary I/O comparison —
-and together they certify a build.  A handful of oracle values pinned by the
-unit tests are deliberately re-asserted here so this file stands alone.
+both gauntlets and end-to-end mock pipelines — and together they certify a
+build.  A handful of oracle values pinned by the unit tests are deliberately
+re-asserted here so this file stands alone.
 """
 
 import json
 import os
 import random
-import shutil
-import subprocess
 import time
 
 import pytest
@@ -18,7 +16,6 @@ import pytest
 from lintscore.harness import ExperimentConfig, run_experiment
 from lintscore.metrics.baselines import select_policy_indices
 from lintscore.metrics.behavior import compare
-from lintscore.metrics.io_compare import generate_suite, io_metric
 from lintscore.microlang import Program, parse, print_program, random_program
 from lintscore.obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
 from lintscore.pipeline import make_provider
@@ -137,65 +134,6 @@ def test_criterion_08_policy_index_selection():
     assert indices[-1] == 999
     assert indices[7] == 368
     assert indices == [i * 999 // 19 for i in range(20)]
-
-
-REFERENCE_C = """\
-#include <stdio.h>
-int main(void) {
-    int n;
-    if (scanf("%d", &n) == 1) {
-        printf("%d\\n", n + 1);
-    }
-    return 0;
-}
-"""
-
-MUTANT_C = """\
-#include <stdio.h>
-int main(void) {
-    int n;
-    if (scanf("%d", &n) == 1) {
-        if (n == 49 || n == 97 || n == 53) {
-            printf("%d\\n", n + 2);
-        } else {
-            printf("%d\\n", n + 1);
-        }
-    }
-    return 0;
-}
-"""
-
-ALWAYS_FAIL_C = "int main(void) { return 1; }\n"
-
-
-def test_criterion_09_io_metric_with_compiled_binaries(tmp_path):
-    gcc = shutil.which("gcc")
-    assert gcc, "a C compiler is required for the I/O comparison check"
-    binaries = {}
-    for name, source in (
-        ("reference", REFERENCE_C),
-        ("mutant", MUTANT_C),
-        ("fail", ALWAYS_FAIL_C),
-    ):
-        src = tmp_path / f"{name}.c"
-        src.write_text(source)
-        out = tmp_path / name
-        subprocess.run([gcc, str(src), "-o", str(out)], check=True)
-        binaries[name] = [str(out)]
-
-    suite = generate_suite(0)
-    assert len(suite) == 20
-
-    assert io_metric(binaries["reference"], binaries["reference"], suite).value == 1.0
-
-    failing = io_metric(binaries["reference"], binaries["fail"], suite)
-    assert failing.value == 0.0
-    assert len(failing.failures) == 20
-
-    mutated = io_metric(binaries["reference"], binaries["mutant"], suite)
-    assert mutated.value == 0.85
-    assert mutated.matched == 17
-    assert mutated.mismatched == [0, 1, 2]
 
 
 def test_criterion_10_replay_reproducibility(tmp_path):

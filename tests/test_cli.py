@@ -6,9 +6,9 @@ Exit-code contract: 0 success, 1 failed work (parse errors, lost runs),
 import hashlib
 import json
 import re
-import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -234,6 +234,15 @@ class TestSimulateCmd:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("max_ticks", ["0", "-5"])
+    def test_max_ticks_below_one_exits_two(self, runner, duel_files, max_ticks):
+        _, p0, p1 = duel_files
+        result = runner.invoke(
+            main, ["simulate", "--p0", p0, "--p1", p1, "--max-ticks", max_ticks]
+        )
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--max-ticks'" in result.output
+
     def test_unknown_map_exits_two(self, runner, duel_files):
         _, p0, p1 = duel_files
         result = runner.invoke(
@@ -366,132 +375,6 @@ class TestMetricCmd:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["action"] == 1.0
-
-
-class TestIoMetricCmd:
-    SUCC = f'{sys.executable} -c "n = int(input()); print(n + 1)"'
-
-    def test_self_match(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "io-metric",
-                "--reference", self.SUCC,
-                "--candidate", self.SUCC,
-                "--count", "3",
-            ],
-        )
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
-        assert payload["value"] == 1.0
-        assert payload["total"] == 3
-
-    def test_reference_failure_exits_one(self, runner):
-        bad = f'{sys.executable} -c "raise SystemExit(2)"'
-        result = runner.invoke(
-            main,
-            [
-                "io-metric",
-                "--reference", bad,
-                "--candidate", self.SUCC,
-                "--count", "1",
-            ],
-        )
-        assert result.exit_code == 1
-
-    def test_suite_directory(self, runner, tmp_path):
-        (tmp_path / "case0.txt").write_text("4\n")
-        (tmp_path / "case1.txt").write_text("9\n")
-        result = runner.invoke(
-            main,
-            [
-                "io-metric",
-                "--reference", self.SUCC,
-                "--candidate", self.SUCC,
-                "--suite", str(tmp_path),
-            ],
-        )
-        assert result.exit_code == 0
-        assert json.loads(result.output)["total"] == 2
-
-    def test_missing_suite_exits_two(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            [
-                "io-metric",
-                "--reference", self.SUCC,
-                "--candidate", self.SUCC,
-                "--suite", str(tmp_path),
-            ],
-        )
-        assert result.exit_code == 2
-
-    def test_suite_that_is_a_file_exits_two(self, runner, tmp_path):
-        suite = tmp_path / "case0.txt"
-        suite.write_text("4\n")
-        result = runner.invoke(
-            main,
-            [
-                "io-metric",
-                "--reference", self.SUCC,
-                "--candidate", self.SUCC,
-                "--suite", str(suite),
-            ],
-        )
-        assert result.exit_code == 2, result.output
-        assert f"suite {suite} is not a directory" in result.output
-
-    def test_reference_that_cannot_run_exits_one(self, runner, tmp_path):
-        missing = tmp_path / "no-such-program"
-        result = runner.invoke(
-            main,
-            [
-                "io-metric",
-                "--reference", str(missing),
-                "--candidate", self.SUCC,
-                "--count", "1",
-            ],
-        )
-        assert result.exit_code == 1, result.output
-        assert "reference failed on input 0: cannot run" in result.output
-        assert str(missing) in result.output
-        assert isinstance(result.exception, SystemExit)  # no traceback
-
-    @pytest.mark.parametrize(
-        "option, command, message",
-        [
-            ("--reference", "", "the command line is empty"),
-            ("--reference", "cat 'x", "No closing quotation"),
-            ("--candidate", "", "the command line is empty"),
-        ],
-        ids=["empty-reference", "unbalanced-quote", "empty-candidate"],
-    )
-    def test_bad_command_line_exits_two(self, runner, option, command, message):
-        args = {"--reference": self.SUCC, "--candidate": self.SUCC, option: command}
-        result = runner.invoke(
-            main, ["io-metric", "--count", "1"] + [a for kv in args.items() for a in kv]
-        )
-        assert result.exit_code == 2, result.output
-        assert f"Invalid value for '{option}': {message}" in result.output
-
-    def test_candidate_that_cannot_run_is_a_mismatch(self, runner, tmp_path):
-        missing = tmp_path / "no-such-program"
-        result = runner.invoke(
-            main,
-            [
-                "io-metric",
-                "--reference", self.SUCC,
-                "--candidate", str(missing),
-                "--count", "2",
-            ],
-        )
-        assert result.exit_code == 0, result.output
-        payload = json.loads(result.output)
-        assert payload["value"] == 0.0
-        assert payload["mismatched"] == [0, 1]
-        for failure in payload["failures"]:
-            assert failure["reason"].startswith("cannot run: ")
-            assert str(missing) in failure["reason"]
 
 
 class TestObfuscateCmd:
@@ -965,6 +848,24 @@ class TestBaselineCmd:
         result = runner.invoke(main, ["baseline", "--baseline", "psychic"])
         assert result.exit_code == 2
 
+    def test_same_pool_baseline_on_one_program_exits_two(
+        self, runner, tmp_path, monkeypatch
+    ):
+        requests = counted_requests(monkeypatch)
+        (tmp_path / "only.mrl").write_text(SIMPLE)
+        result = runner.invoke(
+            main,
+            [
+                "baseline",
+                "--programs", str(tmp_path),
+                "--opponents", "standard-8",
+                "--baseline", "rand",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "baseline rand needs a program set of two" in result.output
+        assert requests == []
+
     def test_line_drop_mock_exits_two(self, runner):
         # baseline has no --q, so a line-drop mock would drop nothing
         result = runner.invoke(
@@ -1240,6 +1141,33 @@ class TestReportCmd:
         assert f"opponent set {path}" in result.output
         assert message in result.output
 
+    @pytest.mark.parametrize("baseline", ["rand", "closest-syntax", "closest-feature"])
+    def test_same_pool_baseline_on_one_program_exits_two(
+        self, runner, tmp_path, monkeypatch, baseline
+    ):
+        requests = counted_requests(monkeypatch)
+        programs = tmp_path / "one"
+        programs.mkdir()
+        (programs / "only.mrl").write_text(SIMPLE)
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "programs": str(programs),
+                    "opponents": "standard-8",
+                    "k": 2,
+                    "baselines": [baseline],
+                }
+            )
+        )
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert (
+            f"baseline {baseline} needs a program set of two or more programs; "
+            f"{str(programs)!r} has one"
+        ) in result.output
+        assert requests == []
+
     def test_unscorable_track_exits_two(self, runner, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(
@@ -1267,17 +1195,16 @@ class TestGlobalOptions:
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])
         assert result.exit_code == 0
-        for name in (
-            "parse",
-            "simulate",
-            "metric",
-            "io-metric",
-            "obfuscate",
-            "score",
-            "baseline",
-            "report",
-        ):
-            assert name in result.output
+        listed = result.output.split("Commands:\n")[1].splitlines()
+        assert sorted(line.split()[0] for line in listed if line.strip()) == sorted(
+            ["parse", "simulate", "metric", "obfuscate", "score", "baseline", "report"]
+        )
+
+    def test_option_count(self):
+        # the CLI's whole surface: a new option changes this count on purpose
+        commands = [main, *main.commands.values()]
+        options = [p for c in commands for p in c.params if isinstance(p, click.Option)]
+        assert len(options) == 40
 
     def test_unknown_command_exits_two(self, runner):
         result = runner.invoke(main, ["transmogrify"])
@@ -1317,7 +1244,6 @@ class TestGlobalOptions:
 
 JSON_DEFECTS = ("missing", "directory", "not-utf8", "not-json", "not-object")
 SCORE8 = ["score", "--programs", "pool8", "--opponents", "standard-8", "--k", "1"]
-COPY = f'{sys.executable} -c "print(input())"'
 POLICY = str(data_path("policies", "pool8", "q01.mrl"))
 
 # input kind -> (its file under tmp_path, the command line that reads it,
@@ -1352,12 +1278,6 @@ INPUT_KINDS = {
         "cache/manifest.json",
         lambda f: SCORE8 + ["--provider", "replay", "--cache-dir", str(f.parent)],
         JSON_DEFECTS[1:],
-    ),
-    "suite-file": (
-        "suite/0.txt",
-        lambda f: ["io-metric", "--reference", COPY, "--candidate", COPY,
-                   "--suite", str(f.parent)],
-        ("not-utf8",),
     ),
 }
 

@@ -255,6 +255,16 @@ class TestSetupBeforeProviderCalls:
         assert f"cannot write to {out}" in str(info.value)
         assert requests == []
 
+    def test_other_baselines_run_on_one_program(self, tmp_path):
+        # only the same-pool rows need a second program (tests/test_cli.py)
+        (tmp_path / "only.mrl").write_text("for(Unit u){ u.idle() }")
+        result = run_experiment(
+            small_config(programs=str(tmp_path), k=1, baselines=["rand-other", "kshot"])
+        )
+        labels = [row.label for row in result.table.rows]
+        assert labels == ["LINT", "Rand-Other", "k-Shot"]
+        assert result.errors == []
+
     def test_descriptor_on_a_bundled_map_prompts_like_standard(
         self, tmp_path, monkeypatch
     ):

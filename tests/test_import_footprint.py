@@ -1,9 +1,10 @@
 """A scoring process loads no standard-library module it never calls.
 
-``statistics`` (with ``decimal`` and ``fractions``), ``subprocess``,
-``datetime``, ``concurrent.futures`` and ``tempfile`` are imported inside the
-one function that uses each, so importing the harness and the pipeline and
-scoring with an in-memory provider leaves them out of ``sys.modules``.  The
+``statistics`` (with ``decimal`` and ``fractions``), ``datetime``,
+``concurrent.futures`` and ``tempfile`` are imported inside the one function
+that uses each, and nothing imports ``subprocess``, so importing the harness
+and the pipeline and scoring with an in-memory provider leaves them out of
+``sys.modules``.  The
 child runs with ``-S``: a ``site`` hook may import some of them itself,
 which would hide an import that this package adds.
 """

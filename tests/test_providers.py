@@ -32,6 +32,7 @@ from lintscore.pipeline import (
     lint_score,
     make_provider,
 )
+from lintscore.pipeline.runner import WORST
 
 
 class TestCacheKey:
@@ -311,6 +312,10 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/notjson":
             data = b"<html>oops</html>"
             self.send_response(200)
+        elif self.path == "/nullcontent":
+            payload = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+            data = json.dumps(payload).encode()
+            self.send_response(200)
         elif self.path == "/badshape":
             data = json.dumps({"choices": []}).encode()
             self.send_response(200)
@@ -385,6 +390,28 @@ class TestHttpProvider:
         provider = HttpProvider(_url(http_server, "/badshape"), "m")
         with pytest.raises(ProviderError, match="malformed"):
             provider.complete(PromptRequest("explainer", "p"))
+
+    def test_null_content_raises(self, http_server):
+        provider = HttpProvider(_url(http_server, "/nullcontent"), "m")
+        with pytest.raises(ProviderError) as info:
+            provider.complete(PromptRequest("explainer", "p"))
+        assert str(info.value) == (
+            "malformed provider response: content None is not a string"
+        )
+
+    def test_null_content_is_each_programs_provider_error(
+        self, http_server, bundle, oset8
+    ):
+        provider = HttpProvider(_url(http_server, "/nullcontent"), "m")
+        programs = [
+            ("a", parse("for(Unit u){ u.idle() }")),
+            ("b", parse("for(Unit u){ u.attack(Closest) }")),
+        ]
+        _, runs = lint_score(programs, oset8, bundle, provider, k=1)
+        assert [run.error for run in runs] == [
+            "provider error: malformed provider response: content None is not a string"
+        ] * 2
+        assert all(run.aggregated == WORST for run in runs)
 
     def test_connection_failure_raises(self):
         provider = HttpProvider("http://127.0.0.1:1/", "m", timeout=2.0)
