@@ -50,7 +50,6 @@ _STANDARD_OPPONENTS = {
     "standard-16": "opponents16.json",
     "standard-8": "opponents8.json",
 }
-_standard_cache: dict[str, OpponentSet] = {}
 
 
 @dataclass
@@ -156,26 +155,25 @@ def load_program_set(spec: str) -> list[tuple[str, Program]]:
 def load_opponent_set(spec: str) -> OpponentSet:
     """Resolve ``standard-16``/``standard-8`` or a descriptor JSON path.
 
-    A bundled set is loaded once per process and shared, so its match cache
-    accumulates across runs; a descriptor is loaded afresh on every call.
+    Every call loads a new set, with empty match and report caches, so a
+    run's matches die with the run that holds the set; a caller that wants
+    them reused holds one set.
     """
 
     if spec in _STANDARD_OPPONENTS:
-        if spec not in _standard_cache:
-            _standard_cache[spec] = OpponentSet.from_file(
-                data_path(_STANDARD_OPPONENTS[spec])
-            )
-        return _standard_cache[spec]
+        return OpponentSet.from_file(data_path(_STANDARD_OPPONENTS[spec]))
     return OpponentSet.from_file(spec)
 
 
 def resolve_map_description(value: str | None, oset: OpponentSet) -> str:
     """The k-shot map description of a configured ``map_description``:
     the text bundled under that map name, or else the value itself as
-    literal text.  Without a value, the description bundled under the name
-    of ``oset``'s map; a set whose map has no name, or none bundled, needs
-    the value (:class:`ConfigError`)."""
+    literal text, which must not be blank.  Without a value, the description
+    bundled under the name of ``oset``'s map; a set whose map has no name,
+    or none bundled, needs the value (:class:`ConfigError`)."""
 
+    if value is not None and not value.strip():
+        raise ConfigError("map_description is blank: k-shot prompts need a map")
     bundled = [
         path.stem.removeprefix("map_")
         for path in data_path("prompts").glob("map_*.txt")

@@ -226,6 +226,26 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+# per provider kind, the keys its config may have and their JSON types; a
+# key set to null takes its default
+_PROVIDER_KEYS = {
+    "http": {
+        "kind": str, "endpoint": str, "model": str, "temperature": float,
+        "timeout": float, "api_key_env": str, "cache": str,
+    },
+    "replay-cache": {
+        "kind": str, "directory": str, "model": str, "temperature": float,
+    },
+    "mock": {
+        "kind": str, "mock": str, "q": float, "seed": int, "responses": dict,
+        "cache": str,
+    },
+}
+_TYPE_NAMES = {
+    str: "a string", float: "a number", int: "an integer", dict: "an object"
+}
+
+
 def make_provider(config: dict) -> Provider:
     """Build a provider from a config mapping.
 
@@ -236,27 +256,33 @@ def make_provider(config: dict) -> Provider:
         {"kind": "replay-cache", "directory": "runs/cache",
          "model": <optional>, "temperature": <optional>}
         {"kind": "mock", "mock": "echo" | "empty" | "line-drop" | "scripted",
-         "q": 0.2, "seed": 7, "responses": {...}}
+         "q": 0.2, "seed": 7, "responses": {...}, "cache": "runs/cache"}
+
+    A key that its kind does not read, or a value of another JSON type (a
+    bool is not a number), raises :class:`ProviderError` naming the key.
     """
 
     from . import mocks
 
     kind = config.get("kind")
+    if not (isinstance(kind, str) and kind in _PROVIDER_KEYS):
+        raise ProviderError(f"unknown provider kind {kind!r}")
+    config = _checked(config, _PROVIDER_KEYS[kind])
     if kind == "http":
         provider: Provider = HttpProvider(
             endpoint=_required(config, "endpoint"),
             model=_required(config, "model"),
-            temperature=_number(config, "temperature", 0.0),
-            timeout=_number(config, "timeout", 60.0),
+            temperature=config.get("temperature", 0.0),
+            timeout=config.get("timeout", 60.0),
             api_key_env=config.get("api_key_env", "LINT_API_KEY"),
         )
     elif kind == "replay-cache":
         return ReplayCacheProvider(
             _required(config, "directory"),
             model=config.get("model"),
-            temperature=_number(config, "temperature", None),
+            temperature=config.get("temperature"),
         )
-    elif kind == "mock":
+    else:
         name = config.get("mock", "echo")
         if name == "echo":
             provider = mocks.EchoProvider()
@@ -265,37 +291,46 @@ def make_provider(config: dict) -> Provider:
         elif name == "line-drop":
             try:
                 provider = mocks.LineDropProvider(
-                    q=float(config.get("q", 0.0)), seed=int(config.get("seed", 0))
+                    q=config.get("q", 0.0), seed=config.get("seed", 0)
                 )
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ProviderError(f"line-drop mock: {exc}") from exc
         elif name == "scripted":
             provider = mocks.ScriptedProvider(config.get("responses", {}))
         else:
             raise ProviderError(f"unknown mock provider {name!r}")
-    else:
-        raise ProviderError(f"unknown provider kind {kind!r}")
     cache_dir = config.get("cache")
     if cache_dir:
         provider = CachingProvider(cache_dir, provider)
     return provider
 
 
+def _checked(config: dict, types: dict[str, type]) -> dict:
+    """``config`` without its null values, each number a float; a key not
+    in ``types``, or a value not of its type, raises :class:`ProviderError`.
+    A mock config is named by its mock."""
+    kind = config["kind"]
+    if kind == "mock" and isinstance(config.get("mock"), str):
+        kind = f"{config['mock']} mock"
+    unknown = sorted(set(config) - set(types))
+    if unknown:
+        raise ProviderError(f"{kind} provider config: unknown keys {unknown}")
+    checked = {}
+    for key, value in config.items():
+        if value is None:
+            continue
+        want = types[key]
+        number = want is float and isinstance(value, int)
+        if isinstance(value, bool) or not (isinstance(value, want) or number):
+            raise ProviderError(
+                f"{kind} provider config: {key} must be {_TYPE_NAMES[want]}, "
+                f"not {value!r}"
+            )
+        checked[key] = float(value) if want is float else value
+    return checked
+
+
 def _required(config: dict, key: str):
     if key not in config:
-        raise ProviderError(f"{config.get('kind')} provider config needs {key!r}")
+        raise ProviderError(f"{config['kind']} provider config needs {key!r}")
     return config[key]
-
-
-def _number(config: dict, key: str, default: float | None) -> float | None:
-    """``config[key]`` as a float; ``default`` when absent or ``None``."""
-    value = config.get(key)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ProviderError(
-            f"{config.get('kind')} provider config: {key} must be a number, "
-            f"not {value!r}"
-        ) from exc

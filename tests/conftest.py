@@ -1,8 +1,10 @@
 """Shared fixtures: bundled pools, opponent sets, and reference programs.
 
-Session scope matters here: the standard opponent sets keep a process-wide
-match cache, so every test that replays the same policy against the same
-gauntlet reuses earlier simulations instead of re-running them.
+Session scope matters here: ``load_opponent_set`` returns a new set with
+empty caches on every call, so the session fixtures ``oset8`` and ``oset16``
+are the only warm sets.  A test that passes one of them in reuses earlier
+simulations of the same policy instead of re-running them; a test that goes
+through ``run_experiment`` or the CLI loads a cold set of its own.
 """
 
 import pytest

@@ -665,6 +665,10 @@ class TestScoreCmd:
                 {"endpoint": "http://127.0.0.1:1/", "model": "m", "timeout": "soon"},
                 "timeout must be a number, not 'soon'",
             ),
+            (
+                {"endpoint": "http://127.0.0.1:1/", "model": "m", "temprature": 0.7},
+                "http provider config: unknown keys ['temprature']",
+            ),
         ],
     )
     def test_malformed_http_config_exits_two(self, runner, tmp_path, settings, message):
@@ -864,6 +868,23 @@ class TestBaselineCmd:
         )
         assert result.exit_code == 2, result.output
         assert "baseline rand needs a program set of two" in result.output
+        assert requests == []
+
+    def test_kshot_blank_map_description_exits_two(self, runner, monkeypatch):
+        requests = counted_requests(monkeypatch)
+        result = runner.invoke(
+            main,
+            [
+                "baseline",
+                "--programs", "pool8",
+                "--opponents", "standard-8",
+                "--baseline", "kshot",
+                "--k", "1",
+                "--map-description", "",
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "map_description is blank" in result.output
         assert requests == []
 
     def test_line_drop_mock_exits_two(self, runner):
@@ -1092,9 +1113,48 @@ class TestReportCmd:
                  "timeout": "soon"},
                 "timeout must be a number, not 'soon'",
             ),
+            (
+                {"kind": "http", "endpoint": "http://127.0.0.1:9/x", "model": 7},
+                "http provider config: model must be a string, not 7",
+            ),
+            (
+                {"kind": "http", "endpoint": "http://127.0.0.1:9/x", "model": "m",
+                 "api_key_env": 5},
+                "http provider config: api_key_env must be a string, not 5",
+            ),
+            (
+                {"kind": "http", "endpoint": "http://127.0.0.1:9/x", "model": "m",
+                 "timeout": True},
+                "http provider config: timeout must be a number, not True",
+            ),
+            (
+                {"kind": "http", "endpoint": "http://127.0.0.1:9/x", "model": "m",
+                 "temprature": 0.7},
+                "http provider config: unknown keys ['temprature']",
+            ),
+            (
+                {"kind": "mock", "mock": "echo", "cache": 5},
+                "echo mock provider config: cache must be a string, not 5",
+            ),
+            (
+                {"kind": "replay-cache", "directory": 5},
+                "replay-cache provider config: directory must be a string, not 5",
+            ),
+            (
+                {"kind": "mock", "mock": "line-drop", "q": 0.3, "seed": "7"},
+                "line-drop mock provider config: seed must be an integer, not '7'",
+            ),
+            (
+                {"kind": "mock", "mock": "line-drop", "Q": 0.3},
+                "line-drop mock provider config: unknown keys ['Q']",
+            ),
         ],
     )
-    def test_malformed_provider_exits_two(self, runner, tmp_path, provider, message):
+    def test_malformed_provider_exits_two(
+        self, runner, tmp_path, monkeypatch, provider, message
+    ):
+        requests = counted_requests(monkeypatch)
+        monkeypatch.setattr(HttpProvider, "complete", requests.append)
         path = tmp_path / "provider.json"
         path.write_text(
             json.dumps(
@@ -1109,6 +1169,7 @@ class TestReportCmd:
         result = runner.invoke(main, ["report", "--config", str(path)])
         assert result.exit_code == 2
         assert message in result.output
+        assert requests == []
 
     @pytest.mark.parametrize(
         "field, value", [("max_retries", -1), ("max_retries", 0), ("workers", 0)]
@@ -1166,6 +1227,27 @@ class TestReportCmd:
             f"baseline {baseline} needs a program set of two or more programs; "
             f"{str(programs)!r} has one"
         ) in result.output
+        assert requests == []
+
+    @pytest.mark.parametrize("value", ["", "   "])
+    def test_kshot_blank_map_description_exits_two(
+        self, runner, tmp_path, monkeypatch, value
+    ):
+        requests = counted_requests(monkeypatch)
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "programs": "pool8",
+                    "opponents": "standard-8",
+                    "baselines": ["kshot"],
+                    "map_description": value,
+                }
+            )
+        )
+        result = runner.invoke(main, ["report", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "map_description is blank" in result.output
         assert requests == []
 
     def test_unscorable_track_exits_two(self, runner, tmp_path):

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import shutil
 import statistics
 
 import pytest
@@ -169,13 +170,14 @@ class TestLoaders:
             load_program_set(str(tmp_path))
 
     def test_standard_opponents_resolved(self):
-        # one process-wide object per bundled set, so its match cache
-        # accumulates across runs
+        # a new set on every call, so no match outlives the run that holds it
         for name in ("standard-16", "standard-8"):
-            oset = load_opponent_set(name)
-            assert oset.name == name
-            assert load_opponent_set(name) is oset
-        assert load_opponent_set("standard-16") is not load_opponent_set("standard-8")
+            first, second = load_opponent_set(name), load_opponent_set(name)
+            assert first.name == second.name == name
+            assert first is not second
+            for oset in (first, second):
+                assert oset._cache == {}
+                assert oset.reports == {}
 
     def test_descriptor_path(self, tmp_path):
         oset = load_opponent_set(tiny_descriptor(tmp_path))
@@ -206,6 +208,11 @@ class TestResolveMapDescription:
         text = "A flat plain with no cover. " * 20
         assert resolve_map_description(text, oset8) == text
 
+    @pytest.mark.parametrize("value", ["", "  \n\t"])
+    def test_blank_text_rejected(self, oset8, value):
+        with pytest.raises(ConfigError, match="map_description is blank"):
+            resolve_map_description(value, oset8)
+
     def test_custom_opponents_require_description(self, tmp_path):
         oset = load_opponent_set(tiny_descriptor(tmp_path))
         with pytest.raises(ConfigError, match="map_description is required") as info:
@@ -233,6 +240,19 @@ class TestSetupBeforeProviderCalls:
         with pytest.raises(ConfigError, match="map_description is required"):
             run_experiment(cfg)
         assert requests == []
+
+    def test_kshot_blank_description(self, monkeypatch):
+        requests = counted_requests(monkeypatch)
+        cfg = small_config(baselines=["kshot"], map_description=" ")
+        with pytest.raises(ConfigError, match="map_description is blank"):
+            run_experiment(cfg)
+        assert requests == []
+
+    def test_blank_description_unread_without_kshot(self):
+        result = run_experiment(
+            small_config(k=1, baselines=["rand"], map_description="")
+        )
+        assert [row.label for row in result.table.rows] == ["LINT", "Rand"]
 
     def test_missing_pool_other(self, tmp_path, monkeypatch):
         requests = counted_requests(monkeypatch)
@@ -571,6 +591,29 @@ class TestExperimentResultWrite:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_consecutive_runs_write_equal_trees(self, tmp_path):
+        """Each run loads its own cold gauntlet; two in one process write
+        the same bytes to every file, runs/* and baselines.json included."""
+        out = tmp_path / "out"
+        cfg = small_config(
+            provider={"kind": "mock", "mock": "line-drop", "q": 0.3, "seed": 4},
+            obfuscation_levels=[1, 2],
+            out=str(out),
+        )
+        trees = []
+        for _ in range(2):
+            run_experiment(cfg)
+            trees.append(
+                {
+                    path.relative_to(out).as_posix(): path.read_bytes()
+                    for path in sorted(out.rglob("*"))
+                    if path.is_file()
+                }
+            )
+            shutil.rmtree(out)
+        assert len(trees[0]) == 1 + 3 + 1 + 3 * 10
+        assert trees[0] == trees[1]
 
     def test_out_config_triggers_write(self, tmp_path):
         cfg = small_config(

@@ -1,10 +1,13 @@
-"""What a ``compare`` batch keeps: the records of its πs only.
+"""What a ``compare`` batch keeps: the records of its πs only, and those
+no longer than the run that holds the opponent set.
 
 A program that a batch only compares against a π (a reconstruction, a k-shot
 sample) has its records followed and replayed while its opponent's work
 lasts; then they are dropped, in the calling process and in every child
-shard, whose messages carry only the πs' records.
+shard, whose messages carry only the πs' records.  A run loads its own
+opponent set, so the πs' records die with the run.
 """
+import gc
 import weakref
 
 import pytest
@@ -100,6 +103,31 @@ def test_closest_feature_plays_no_match(monkeypatch, tmp_path):
     assert {text for text, _ in oset._cache} == {
         oset._key_text(program) for _, program in load_program_set("pool8")
     }
+
+
+def test_no_record_outlives_its_run(monkeypatch):
+    """A bundled gauntlet by name is the run's own set, not a process-wide
+    one, so every record the run played is freed with its result."""
+    pretend_cpus(monkeypatch, 1)
+    played: list[weakref.ref] = []
+    count_matches(monkeypatch, lambda program, record: played.append(
+        weakref.ref(record)
+    ))
+    result = run_experiment(
+        ExperimentConfig(
+            programs="pool8",
+            opponents="standard-8",
+            provider={"kind": "mock", "mock": "line-drop", "q": 0.3, "seed": 4},
+            k=2,
+            obfuscation_levels=[1],
+            baselines=["rand", "kshot"],
+        )
+    )
+    assert result.errors == []
+    assert played
+    del result
+    gc.collect()
+    assert [ref for ref in played if ref() is not None] == []
 
 
 def test_child_messages_carry_only_the_pis_records(monkeypatch, bundle, pool8):

@@ -434,13 +434,19 @@ class TestOpponentSet:
         assert oset.max_ticks == 400
         assert all(isinstance(o, Opponent) for o in oset.opponents)
 
-    def test_standard_sets_are_process_cached(self, oset16, oset8):
-        assert load_opponent_set("standard-16") is oset16
-        assert load_opponent_set("standard-8") is oset8
-        assert oset16 is not oset8
-        assert oset8.name == "standard-8"
-        assert oset8.seed == 23
-        assert oset8.max_ticks == 300
+    def test_standard_sets_are_process_cached(self, oset8):
+        # not cached: each load is a new set with empty caches, while the
+        # session fixture stays the one warm set
+        first = load_opponent_set("standard-8")
+        second = load_opponent_set("standard-8")
+        assert first is not second
+        assert first is not oset8 and second is not oset8
+        for oset in (first, second):
+            assert oset._cache == {}
+            assert oset.reports == {}
+            assert oset.name == "standard-8"
+            assert oset.seed == 23
+            assert oset.max_ticks == 300
 
     def test_opponent_sources_parse_to_programs(self, oset16):
         for opponent in oset16.opponents:

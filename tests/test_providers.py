@@ -546,6 +546,80 @@ class TestMakeProvider:
         with pytest.raises(ProviderError, match="line-drop mock"):
             make_provider({"kind": "mock", "mock": "line-drop", "q": q})
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kind": "http", "endpoint": "e", "model": 7},
+             "http provider config: model must be a string, not 7"),
+            ({"kind": "http", "endpoint": 1, "model": "m"},
+             "http provider config: endpoint must be a string, not 1"),
+            ({"kind": "http", "endpoint": "e", "model": "m", "api_key_env": 5},
+             "http provider config: api_key_env must be a string, not 5"),
+            ({"kind": "http", "endpoint": "e", "model": "m", "cache": 5},
+             "http provider config: cache must be a string, not 5"),
+            ({"kind": "http", "endpoint": "e", "model": "m", "timeout": True},
+             "http provider config: timeout must be a number, not True"),
+            ({"kind": "http", "endpoint": "e", "model": "m", "temperature": False},
+             "http provider config: temperature must be a number, not False"),
+            ({"kind": "replay-cache", "directory": 5},
+             "replay-cache provider config: directory must be a string, not 5"),
+            ({"kind": "replay-cache", "directory": ".", "model": 3},
+             "replay-cache provider config: model must be a string, not 3"),
+            ({"kind": "mock", "cache": 5},
+             "mock provider config: cache must be a string, not 5"),
+            ({"kind": "mock", "mock": 5},
+             "mock provider config: mock must be a string, not 5"),
+            ({"kind": "mock", "mock": "line-drop", "seed": "7"},
+             "line-drop mock provider config: seed must be an integer, not '7'"),
+            ({"kind": "mock", "mock": "line-drop", "seed": 7.0},
+             "line-drop mock provider config: seed must be an integer, not 7.0"),
+            ({"kind": "mock", "mock": "line-drop", "q": True},
+             "line-drop mock provider config: q must be a number, not True"),
+            ({"kind": "mock", "mock": "scripted", "responses": ["No."]},
+             "scripted mock provider config: responses must be an object"),
+        ],
+    )
+    def test_mistyped_value_rejected(self, config, message):
+        with pytest.raises(ProviderError) as info:
+            make_provider(config)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "config, unknown",
+        [
+            ({"kind": "http", "endpoint": "e", "model": "m", "temprature": 0.7},
+             ["temprature"]),
+            ({"kind": "http", "endpoint": "e", "model": "m", "q": 0.2, "mock": "x"},
+             ["mock", "q"]),
+            ({"kind": "replay-cache", "directory": ".", "cache": "c"}, ["cache"]),
+            ({"kind": "replay-cache", "directory": ".", "timeout": 5}, ["timeout"]),
+            ({"kind": "mock", "mock": "line-drop", "Q": 0.3}, ["Q"]),
+            ({"kind": "mock", "temperature": 0.0}, ["temperature"]),
+        ],
+    )
+    def test_unknown_keys_rejected(self, config, unknown):
+        with pytest.raises(ProviderError, match="unknown keys") as info:
+            make_provider(config)
+        assert str(unknown) in str(info.value)
+
+    def test_null_takes_the_default(self):
+        drop = make_provider(
+            {"kind": "mock", "mock": "line-drop", "q": None, "seed": None}
+        )
+        assert (drop.q, drop.seed) == (0.0, 0)
+        http = make_provider(
+            {"kind": "http", "endpoint": "e", "model": "m", "timeout": None,
+             "api_key_env": None, "cache": None}
+        )
+        assert isinstance(http, HttpProvider)
+        assert (http.timeout, http.api_key_env) == (60.0, "LINT_API_KEY")
+        with pytest.raises(ProviderError, match="needs 'model'"):
+            make_provider({"kind": "http", "endpoint": "e", "model": None})
+
+    def test_integer_numbers_become_floats(self):
+        drop = make_provider({"kind": "mock", "mock": "line-drop", "q": 1})
+        assert drop.q == 1.0 and isinstance(drop.q, float)
+
     def test_unknown_mock_rejected(self):
         with pytest.raises(ProviderError, match="unknown mock"):
             make_provider({"kind": "mock", "mock": "telepathy"})
@@ -555,3 +629,5 @@ class TestMakeProvider:
             make_provider({"kind": "carrier-pigeon"})
         with pytest.raises(ProviderError, match="unknown provider kind"):
             make_provider({})
+        with pytest.raises(ProviderError, match="unknown provider kind"):
+            make_provider({"kind": ["mock"]})
