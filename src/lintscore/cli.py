@@ -69,6 +69,11 @@ def _initial_state(spec: str, seed: int) -> GameState:
         raise ConfigError(f"map {spec}: {exc}") from exc
 
 
+# keys of a --provider-config file that --provider replay leaves unread: what
+# only http reads, and the kind and directory that the command line sets
+_REPLAY_SKIPS = {"kind", "directory", "endpoint", "timeout", "api_key_env", "cache"}
+
+
 def _provider_config(
     kind: str,
     provider_config: str | None,
@@ -84,8 +89,11 @@ def _provider_config(
         # the cache's manifest supplies what the provider config leaves out
         if provider_config:
             settings = read_json(provider_config, f"provider config {provider_config}")
+            # make_provider refuses a key that neither http nor replay reads
             config.update(
-                model=settings.get("model"), temperature=settings.get("temperature")
+                (key, value)
+                for key, value in settings.items()
+                if key not in _REPLAY_SKIPS
             )
         return config
     if kind == "http":

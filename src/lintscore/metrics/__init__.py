@@ -1,10 +1,5 @@
 """Behavior-similarity metrics and baselines."""
-from .baselines import (
-    closest_feature,
-    closest_syntax,
-    rand_index,
-    select_policy_indices,
-)
+from .baselines import closest_feature, closest_syntax, rand_index
 from .behavior import (
     BehaviorReport,
     ShardError,
@@ -33,5 +28,4 @@ __all__ = [
     "mean_feature_vector",
     "outcome_metric",
     "rand_index",
-    "select_policy_indices",
 ]

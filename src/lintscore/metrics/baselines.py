@@ -1,19 +1,8 @@
-"""Reference-point policy selection: random draws, nearest neighbors, and
-evenly spread pool sampling."""
+"""Reference-point policy selection: random draws and nearest neighbors."""
 from __future__ import annotations
 
 import math
 import random
-
-
-def select_policy_indices(pool_size: int, count: int) -> list[int]:
-    """``count`` indices evenly spread over ``range(pool_size)``, endpoints
-    included."""
-    if count < 1 or pool_size < 1:
-        raise ValueError("pool_size and count must be positive")
-    if count == 1:
-        return [0]
-    return [i * (pool_size - 1) // (count - 1) for i in range(count)]
 
 
 def rand_index(rng: random.Random, pool_size: int, exclude: int | None = None) -> int:

@@ -2,18 +2,20 @@
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..microlang import ParseError, Program, parse, print_program
+from ..microlang import ParseError, Program, parse
+# bound here, though keys are printed in sim, for tools that wrap this
+# module's names from outside (the benchmark's per-layer tracer)
+from ..microlang import print_program  # noqa: F401
 from ..resources import ConfigError, read_json, read_text
 from ..sim import (
     GameState,
     MatchRecord,
     SharedParts,
-    behaviour_form,
+    behaviour_key,
     play_match,
     state_from_map_dict,
 )
@@ -90,8 +92,6 @@ class OpponentSet:
         self._cache: dict[tuple[str, int], MatchRecord] = {}
         # per opponent index, the distinct records in _cache
         self._played: list[list[MatchRecord]] = [[] for _ in opponents]
-        # id(program) -> its behaviour key, dropped when the program is freed
-        self._keys: dict[int, str] = {}
         # pair_key(pi, other, per_unit) -> compare's report for that pair
         self.reports: dict[tuple[str, str, bool], BehaviorReport] = {}
         # held from play to store, so threads sharing the set take turns
@@ -103,26 +103,15 @@ class OpponentSet:
     def initial_state(self, index: int) -> GameState:
         return state_from_map_dict(self.map_data, seed=self.seed + index)
 
-    def _key_text(self, program: Program) -> str:
-        """The canonical text of ``program``'s behaviour form: programs
-        with equal texts resolve every state alike (see
-        :func:`~lintscore.sim.behaviour_form`)."""
-        key = id(program)
-        text = self._keys.get(key)
-        if text is None:
-            text = self._keys[key] = print_program(behaviour_form(program))
-            weakref.finalize(program, self._keys.pop, key, None)
-        return text
-
     def pair_key(
         self, pi: Program, other: Program, per_unit: bool
     ) -> tuple[str, str, bool]:
-        return (self._key_text(pi), self._key_text(other), per_unit)
+        return (behaviour_key(pi), behaviour_key(other), per_unit)
 
     def matches(self, program: Program) -> list[MatchRecord]:
         """One record per opponent, evaluated policy playing as player 0;
         the set keeps them."""
-        programs = [(self._key_text(program), program)]
+        programs = [(behaviour_key(program), program)]
         with self.lock:
             results = [
                 self.play(index, programs, SharedParts())

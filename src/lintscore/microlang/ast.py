@@ -103,6 +103,13 @@ Statement = Command | Empty | If | ForLoop
 @dataclass(frozen=True)
 class Program:
     body: tuple[Statement, ...] = field(default_factory=tuple)
+    # Values computed from ``body`` (its printed text, behaviour key and
+    # lowered function), kept for as long as the program lives. They take
+    # no part in equality, hashing or repr, and ``dataclasses.replace``
+    # starts a new program with an empty memo.
+    derived: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
 
 def walk(node: Program | Statement):

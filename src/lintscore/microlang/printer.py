@@ -47,7 +47,11 @@ def _emit(stmt: Statement, depth: int, out: list[str]) -> None:
 
 
 def print_program(program: Program) -> str:
-    out: list[str] = []
-    for stmt in program.body:
-        _emit(stmt, 0, out)
-    return "\n".join(out)
+    """The canonical text of ``program``, printed once and kept in its memo."""
+    text = program.derived.get("text")
+    if text is None:
+        out: list[str] = []
+        for stmt in program.body:
+            _emit(stmt, 0, out)
+        text = program.derived["text"] = "\n".join(out)
+    return text

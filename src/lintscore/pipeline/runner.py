@@ -232,8 +232,7 @@ def score_samples(
     """The trials of each (π, samples) in ``batch``: sample i becomes trial
     i, scored against its π.  Every parsed sample of the batch is measured
     in one :func:`compare` call, in batch order; a failed sample scores
-    WORST and reaches no opponent set.  Each distinct sample object is
-    printed once."""
+    WORST and reaches no opponent set."""
 
     pairs = [
         (pi, sample)
@@ -242,8 +241,6 @@ def score_samples(
         if not isinstance(sample, str)
     ]
     reports = iter(compare(pairs, oset, per_unit) if pairs else ())
-    # id(sample) -> its printed text; every sample outlives the call
-    sources: dict[int, str] = {}
     scored = []
     for _, samples in batch:
         trials: list[Trial] = []
@@ -252,13 +249,10 @@ def score_samples(
                 trials.append(Trial(index, None, **WORST, error=sample))
                 continue
             report = next(reports)
-            source = sources.get(id(sample))
-            if source is None:
-                source = sources[id(sample)] = print_program(sample)
             trials.append(
                 Trial(
                     index,
-                    source,
+                    print_program(sample),
                     report.action,
                     report.outcome,
                     report.feature,

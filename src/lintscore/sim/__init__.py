@@ -9,7 +9,13 @@ from .engine import (
     snapshot_digest,
     step,
 )
-from .evaluator import behaviour_form, distances, evaluate_policy, resolve_joint
+from .evaluator import (
+    behaviour_form,
+    behaviour_key,
+    distances,
+    evaluate_policy,
+    resolve_joint,
+)
 from .state import GameState, StateView, Unit, restore_state, state_from_map_dict
 from .units import DEFAULT_STATS, UnitStats
 
@@ -25,6 +31,7 @@ __all__ = [
     "Unit",
     "UnitStats",
     "behaviour_form",
+    "behaviour_key",
     "distances",
     "evaluate_policy",
     "play_match",

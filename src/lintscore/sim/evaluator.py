@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import sys
-import weakref
 from types import CodeType
 from typing import Callable
 
@@ -63,6 +62,7 @@ from ..microlang.ast import (
     Statement,
     walk,
 )
+from ..microlang.printer import print_program
 from .actions import (
     ATTACK,
     DEPOSIT,
@@ -585,6 +585,15 @@ def behaviour_form(program: Program) -> Program:
     return Program(tuple(body))
 
 
+def behaviour_key(program: Program) -> str:
+    """The canonical text of ``program``'s behaviour form, kept in its
+    memo: programs with equal keys resolve every state alike."""
+    key = program.derived.get("key")
+    if key is None:
+        key = program.derived["key"] = print_program(behaviour_form(program))
+    return key
+
+
 def _pruned(stmts: tuple[Statement, ...],
             admitted: frozenset[str] | None) -> list[Statement]:
     """``stmts`` where the enclosing guard chain admits the unit kinds
@@ -830,21 +839,17 @@ def _compile(source: str) -> CodeType:
 def _lower(program: Program) -> _Run:
     source, namespace = _generate(program)
     exec(_compile(source), namespace)
-    return namespace["run"]
-
-
-# id(program) -> its function. An entry is dropped when its program is
-# freed, before the id can be reused. The functions read nothing but their
-# program, so sharing them across callers and threads changes no result.
-_GENERATED: dict[int, _Run] = {}
+    # taken out of its own namespace, so no cycle keeps it past its program
+    return namespace.pop("run")
 
 
 def _generated(program: Program) -> _Run:
-    key = id(program)
-    run = _GENERATED.get(key)
+    """``program``'s function, lowered once and kept in its memo. The
+    functions read nothing but their program, so sharing them across
+    callers and threads changes no result."""
+    run = program.derived.get("run")
     if run is None:
-        run = _GENERATED[key] = _lower(program)
-        weakref.finalize(program, _GENERATED.pop, key, None)
+        run = program.derived["run"] = _lower(program)
     return run
 
 

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from lintscore.harness import ExperimentConfig, run_experiment
-from lintscore.metrics.baselines import select_policy_indices
 from lintscore.metrics.behavior import compare
 from lintscore.microlang import Program, parse, print_program, random_program
 from lintscore.obfuscate import LEVELS, added_lines, obfuscate, verify_neutral
@@ -126,14 +125,6 @@ def test_criterion_07_trial_aggregation():
         "outcome": 0.0,
         "feature": 1.0,
     }
-
-
-def test_criterion_08_policy_index_selection():
-    indices = select_policy_indices(1000, 20)
-    assert indices[0] == 0
-    assert indices[-1] == 999
-    assert indices[7] == 368
-    assert indices == [i * 999 // 19 for i in range(20)]
 
 
 def test_criterion_10_replay_reproducibility(tmp_path):

@@ -1,14 +1,11 @@
-"""Baseline selection: spread sampling, random draws, nearest neighbors."""
+"""Baseline selection: random draws, nearest neighbors."""
 import random
-
-import pytest
 
 from lintscore.metrics import (
     closest_feature,
     closest_syntax,
     mean_feature_vector,
     rand_index,
-    select_policy_indices,
 )
 from lintscore.microlang import parse, print_program, syntax_set
 
@@ -22,33 +19,6 @@ def nearest_feature(target, pool, oset) -> int:
         mean_feature_vector(target, oset),
         [mean_feature_vector(p, oset) for p in pool],
     )
-
-
-class TestSelectPolicyIndices:
-    def test_thousand_pool_twenty_picks(self):
-        indices = select_policy_indices(1000, 20)
-        assert len(indices) == 20
-        assert indices[0] == 0
-        assert indices[-1] == 999
-        assert indices[7] == 368
-
-    def test_identity_when_count_equals_pool(self):
-        assert select_policy_indices(20, 20) == list(range(20))
-
-    def test_single_pick_is_first(self):
-        assert select_policy_indices(1000, 1) == [0]
-
-    def test_non_decreasing_and_in_range(self):
-        indices = select_policy_indices(37, 9)
-        assert indices == sorted(indices)
-        assert all(0 <= i < 37 for i in indices)
-        assert indices[0] == 0 and indices[-1] == 36
-
-    def test_rejects_non_positive_arguments(self):
-        with pytest.raises(ValueError):
-            select_policy_indices(0, 5)
-        with pytest.raises(ValueError):
-            select_policy_indices(5, 0)
 
 
 class TestRandIndex:

@@ -1,7 +1,7 @@
 """Differential gate for behaviour keys.
 
 An opponent set keys matches and pair reports by the printed behaviour form
-of a program (``OpponentSet._key_text``), so programs with one key share one
+of a program (``sim.behaviour_key``), so programs with one key share one
 record per opponent: the record the first of them played.  That is sound
 when every program with the key resolves every state of that record as the
 record says; by induction over ticks, each of them would then have played
@@ -23,7 +23,7 @@ from lintscore.metrics import OpponentSet, decision_states
 from lintscore.microlang import print_program, random_program
 from lintscore.obfuscate import LEVELS, obfuscate
 from lintscore.resources import data_path
-from lintscore.sim import behaviour_form, resolve_joint, restore_state
+from lintscore.sim import behaviour_form, behaviour_key, resolve_joint, restore_state
 
 RANDOM_PROGRAMS = 1000  # as in test_evaluator_digest.py
 
@@ -41,13 +41,13 @@ def _pool_programs():
 
 
 def _check_groups(programs, oset):
-    """Group ``programs`` by ``oset``'s key, with the group's behaviour
+    """Group ``programs`` by behaviour key, with the group's behaviour
     form, and check each group on its records' states.  Returns the groups'
     sizes (programs of one text count once, the form not at all) and every
     state checked, in order."""
     groups: dict[str, dict] = {}
     for program in programs:
-        text = oset._key_text(program)
+        text = behaviour_key(program)
         assert text == key(program)
         groups.setdefault(text, {})[program] = None
     union: dict[tuple, None] = {}

@@ -16,7 +16,12 @@ from lintscore import __version__
 from lintscore.cli import main
 from lintscore.microlang import parse, print_program, to_dict
 from lintscore.obfuscate import obfuscate
-from lintscore.pipeline import HttpProvider, LineDropProvider, lint_score
+from lintscore.pipeline import (
+    HttpProvider,
+    LineDropProvider,
+    ReplayCacheProvider,
+    lint_score,
+)
 from lintscore.resources import data_path
 from test_harness import counted_requests
 
@@ -716,6 +721,61 @@ class TestScoreCmd:
         )
         assert result.exit_code == 2
         assert "temperature must be a number, not 'hot'" in result.output
+
+    @pytest.mark.parametrize(
+        "settings, unknown",
+        [
+            ({"temprature": 0.7}, "['temprature']"),
+            ({"model": "mock-echo", "retries": 3, "Model": "m"}, "['Model', 'retries']"),
+        ],
+    )
+    def test_replay_unknown_key_exits_two_before_any_call(
+        self, runner, tmp_path, monkeypatch, settings, unknown
+    ):
+        calls = []
+        monkeypatch.setattr(ReplayCacheProvider, "complete", calls.append)
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps(settings))
+        result = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + [
+                "--provider", "replay",
+                "--provider-config", str(config),
+                "--cache-dir", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"unknown keys {unknown}" in result.output
+        assert calls == []
+
+    def test_replay_accepts_every_http_key(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        recorded = runner.invoke(main, self.SCORE_ARGS + ["--cache-dir", str(cache)])
+        assert recorded.exit_code == 0, recorded.output
+        # a live run's whole file: replay reads its model and skips the rest
+        config = tmp_path / "provider.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "kind": "http", "endpoint": "http://127.0.0.1:1/",
+                    "model": "mock-echo", "timeout": 5, "api_key_env": "NO_KEY",
+                    "cache": str(tmp_path / "other"),
+                }
+            )
+        )
+        replayed = runner.invoke(
+            main,
+            self.SCORE_ARGS
+            + [
+                "--provider", "replay",
+                "--provider-config", str(config),
+                "--cache-dir", str(cache),
+            ],
+        )
+        assert replayed.exit_code == 0, replayed.output
+        assert json.loads(replayed.output) == json.loads(recorded.output)
+        assert not (tmp_path / "other").exists()
 
     @pytest.mark.parametrize(
         "option, value",

@@ -17,6 +17,7 @@ from lintscore.harness import ExperimentConfig, load_program_set, run_experiment
 from lintscore.metrics import OpponentSet, behavior, opponents
 from lintscore.pipeline import LineDropProvider, lint_score
 from lintscore.resources import data_path
+from lintscore.sim import behaviour_key
 
 OPPONENTS = data_path("opponents8.json")
 
@@ -58,11 +59,11 @@ def test_sample_records_die_with_their_opponent_work(
     count_matches(
         monkeypatch,
         lambda program, record: played.append(
-            (oset._key_text(program), weakref.ref(record))
+            (behaviour_key(program), weakref.ref(record))
         ),
     )
     line_drop_score(oset, bundle, pool8)
-    pi_texts = {oset._key_text(program) for _, program in pool8}
+    pi_texts = {behaviour_key(program) for _, program in pool8}
     kept = {id(record) for record in oset._cache.values()}
     samples = [ref for text, ref in played if text not in pi_texts]
     # a sample may end up with a π's record, which the π keeps
@@ -101,7 +102,7 @@ def test_closest_feature_plays_no_match(monkeypatch, tmp_path):
     assert first_batch > 0
     assert len(calls) == first_batch
     assert {text for text, _ in oset._cache} == {
-        oset._key_text(program) for _, program in load_program_set("pool8")
+        behaviour_key(program) for _, program in load_program_set("pool8")
     }
 
 
@@ -144,6 +145,6 @@ def test_child_messages_carry_only_the_pis_records(monkeypatch, bundle, pool8):
     line_drop_score(oset, bundle, pool8)
     assert [index for index, _ in received] == list(range(1, len(oset), 2))
     for index, new in received:
-        kept = {id(oset._cache[(oset._key_text(pi), index)]) for _, pi in pool8}
+        kept = {id(oset._cache[(behaviour_key(pi), index)]) for _, pi in pool8}
         assert new
         assert all(id(record) in kept for record in new), index

@@ -26,6 +26,7 @@ from lintscore.metrics import (
 )
 from lintscore.pipeline import LineDropProvider, lint_score
 from lintscore.resources import data_path
+from lintscore.sim import behaviour_key
 
 OPPONENTS = data_path("opponents8.json")
 CPU_COUNTS = (1, 2, 3, 16)
@@ -84,17 +85,17 @@ def test_batches_equal_one_pair_at_a_time(monkeypatch, pool8, per_unit):
     pi_texts: list[str] = []
     expected_keys = []
     for batch in batches:
-        texts = {serial._key_text(pi) for pi, _ in batch}
+        texts = {behaviour_key(pi) for pi, _ in batch}
         for pair in batch:
             for program in pair:
-                text = serial._key_text(program)
+                text = behaviour_key(program)
                 if text in texts and text not in pi_texts:
                     pi_texts.append(text)
         expected_keys.append(
             [(text, index) for text in pi_texts for index in range(len(serial))]
         )
     # some of the first batch's others are no π of it
-    used = {serial._key_text(program) for pair in batches[0] for program in pair}
+    used = {behaviour_key(program) for pair in batches[0] for program in pair}
     assert len(expected_keys[0]) < len(used) * len(serial)
     outputs = {}
     for count in CPU_COUNTS:
